@@ -135,9 +135,9 @@ type cell = {
          only *)
 }
 
-(* every baseline column is pinned to the sequential engine so the
-   explored counts stay comparable across machines and TAMC_DOMAINS
-   settings; the parallel engine gets its own gated column *)
+(* every baseline column is pinned to one domain so the explored
+   counts stay comparable across machines and TAMC_DOMAINS settings;
+   multi-domain runs get their own gated column *)
 let bench_par_domains =
   (* BENCH_PAR_DOMAINS forces the worker count (>= 2) or disables the
      column (0 or 1); unset, multi-core hosts get min(4, cores) *)

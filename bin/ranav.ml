@@ -156,7 +156,7 @@ let domains_arg =
         ~doc:
           "worker domains for the zone exploration (default: the \
            TAMC_DOMAINS environment variable, else the machine's core \
-           count); 1 selects the sequential engine")
+           count); 1 spawns no domain and searches sequentially")
 
 (* ------------------------------------------------------------------ *)
 (* wcrt                                                                *)

@@ -73,7 +73,10 @@ let file_arg =
 
 let load ?validate path =
   try Ok (E.load_file ?validate path) with
-  | E.Elab_error m -> Error (Printf.sprintf "%s: %s" path m)
+  | E.Elab_error { pos = Some { line; col }; message } ->
+      Error (Printf.sprintf "%s:%d:%d: %s" path line col message)
+  | E.Elab_error { pos = None; message } ->
+      Error (Printf.sprintf "%s: %s" path message)
   | Ita_tafmt.Parser.Parse_error { line; message } ->
       Error (Printf.sprintf "%s:%d: %s" path line message)
   | Ita_tafmt.Lexer.Lex_error { line; message } ->
@@ -126,8 +129,23 @@ let run_check path order budget trace domains abstraction slicing cert_out =
           if want_cert then
             Format.printf "query %d: note: %s, not certified@." i what
         in
+        (* an update leaving its variable's declared range aborts only
+           the query that explores it, as a runtime-error verdict *)
+        let runtime_errors = ref 0 in
+        let guard_query i f =
+          try f ()
+          with Ita_ta.Update.Out_of_range { var; value } ->
+            incr runtime_errors;
+            let lo, hi = net.Ita_ta.Network.var_ranges.(var) in
+            Format.printf
+              "RUNTIME ERROR: update sets %s to %d, outside its declared \
+               range [%d, %d]@."
+              net.Ita_ta.Network.var_names.(var) value lo hi;
+            skip_cert i "runtime error"
+        in
         List.iteri
           (fun i q ->
+            guard_query i @@ fun () ->
             match q with
             | E.Deadlock_q -> (
                 Format.printf "query %d: deadlock ... @?" i;
@@ -246,7 +264,7 @@ let run_check path order budget trace domains abstraction slicing cert_out =
             Cert.save path t;
             Format.printf "wrote %d certificate(s) to %s@."
               (List.length !certs) path);
-        if !failed > 0 then 2 else 0
+        if !runtime_errors > 0 then 1 else if !failed > 0 then 2 else 0
       end
 
 let check_cmd =
@@ -267,7 +285,7 @@ let check_cmd =
           ~doc:
             "worker domains for the exploration (default: the \
              TAMC_DOMAINS environment variable, else the machine's core \
-             count); 1 selects the sequential engine")
+             count); 1 spawns no domain and searches sequentially")
   in
   let abstraction =
     Arg.(

@@ -583,6 +583,11 @@ let unmap_label t (l : Semantics.label) =
             receivers = List.map (fun (rc, re) -> (comp rc, edge rc re)) receivers;
           }
 
+let unmap_errors t f =
+  try f ()
+  with Update.Out_of_range { var; value } when not t.identity ->
+    raise (Update.Out_of_range { var = t.var_unmap.(var); value })
+
 let unmap_zone t (z : Semantics.Dbm.t) =
   if t.identity then z
   else begin

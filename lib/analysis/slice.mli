@@ -125,6 +125,11 @@ val unmap_label : t -> Semantics.label -> Semantics.label
 (** Re-index a transition label; receiver lists only mention kept
     components. *)
 
+val unmap_errors : t -> (unit -> 'a) -> 'a
+(** [unmap_errors t f] runs [f], re-raising an {!Update.Out_of_range}
+    from exploring the sliced network with the variable re-indexed
+    into original index space. *)
+
 val unmap_zone : t -> Semantics.Dbm.t -> Semantics.Dbm.t
 (** Lift a zone over the sliced clocks back to the original dimension:
     kept entries are copied through the map, merged members come out

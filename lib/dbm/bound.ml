@@ -6,6 +6,10 @@ type t = int
    makes [min]/[compare] free. *)
 
 let infinity = max_int
+
+(* |le c| <= 2|c| + 1, and the sum of two such encodings must stay
+   below [max_int] (which is reserved for +oo) *)
+let max_constant = max_int / 4
 let le c = (c lsl 1) lor 1
 let lt c = c lsl 1
 let zero_le = le 0

@@ -13,6 +13,13 @@ type t = private int
 val infinity : t
 (** The absent constraint [x - y < +oo]. *)
 
+val max_constant : int
+(** The largest constant magnitude a model may use: [le c] and [lt c]
+    encode for every [|c| <= max_constant], and {!add} of any two such
+    bounds does not overflow.  Larger constants would wrap around the
+    native [int] and silently corrupt zones, so the network builder and
+    the [.ta] elaborator reject them. *)
+
 val le : int -> t
 (** [le c] is the non-strict bound [(c, <=)]. *)
 

@@ -54,9 +54,9 @@ type slicing = Ita_analysis.Slice.mode = Off | Coi | CoiMerge
 type budget = { max_states : int option; max_seconds : float option }
 
 val parse_domains : string -> (int, string) result
-(** Parse a [TAMC_DOMAINS]-style value: a positive integer, where [1]
-    selects the sequential engine.  The [Error] carries the valid-value
-    description the warning and the CLI converters print. *)
+(** Parse a [TAMC_DOMAINS]-style value: a positive integer.  The
+    [Error] carries the valid-value description the warning and the
+    CLI converters print. *)
 
 val parse_abstraction : string -> (abstraction, string) result
 (** Parse a [TAMC_ABSTRACTION]-style value ([extram] / [extralu] /
@@ -69,8 +69,8 @@ val parse_slicing : string -> (slicing, string) result
 val default_domains : unit -> int
 (** Worker-domain count used when a caller passes no [?domains]: the
     [TAMC_DOMAINS] environment variable if set to a positive integer,
-    else [Domain.recommended_domain_count ()].  [1] selects the
-    sequential engine.  An unrecognised value falls back exactly like
+    else [Domain.recommended_domain_count ()].  At [1] no worker domain
+    is spawned.  An unrecognised value falls back exactly like
     an unset one — to the machine's core count — after a one-line
     stderr warning naming the valid values. *)
 
@@ -129,8 +129,10 @@ type stats = {
           the exact count) is schedule-dependent. *)
   transitions : int;  (** symbolic successors computed *)
   elapsed : float;  (** wall-clock seconds *)
-  domains : int;  (** worker domains used (1 = sequential engine) *)
-  steals : int;  (** frontier nodes stolen across domains (0 when sequential) *)
+  domains : int;
+      (** workers used; the caller is one of them, so [1] spawns no
+          domain *)
+  steals : int;  (** frontier nodes stolen across domains (0 at one domain) *)
   subsumed_lusim : int;
       (** successor configurations discharged by the a◁LU simulation
           test — [0] unless the abstraction is [LuSim].  Like
@@ -160,7 +162,7 @@ type snapshot = {
   snap_passed : (Semantics.state * Semantics.Dbm.t list) list;
       (** the final passed list, sorted by discrete state with each
           antichain sorted by {!Ita_dbm.Dbm.compare} — byte-stable
-          across engines and domain counts *)
+          across domain counts and schedules *)
 }
 (** Everything certificate emission ({!Cert_emit}) needs from a
     completed exploration. *)
@@ -195,15 +197,24 @@ val reach :
     verdict the passed list is an inductive invariant for — with the
     {!snapshot} certificate emission consumes.
 
-    [?domains] (default {!default_domains}) picks the engine:
-    [1] is the exact sequential code path; [d > 1] explores with [d]
-    worker domains over a sharded passed list.  Verdicts are identical;
-    witnesses of a parallel [Reachable] are valid runs but not
-    necessarily shortest, and [explored]/[transitions] counts are
-    schedule-dependent.  Budgeted parallel runs are best-effort: near
-    the budget boundary a run may report [Budget_exhausted] where the
-    sequential engine completed, but never the converse flip of a
-    definite verdict. *)
+    [?domains] (default {!default_domains}) is the number of workers
+    exploring over the sharded passed list; the caller is worker 0, so
+    [1] spawns no domain.  Each worker takes its own waiting nodes in
+    the search order — oldest first under [Bfs], newest first under
+    [Dfs]/[Random_dfs] (worker [w] shuffles with seed [seed + 31 * w])
+    — and steals the oldest node of another worker when it runs dry.
+    At one domain this is exactly a sequential search: [Bfs] witnesses
+    are shortest and all counts are deterministic.  Verdicts are
+    identical at any domain count; with [d > 1] a [Reachable] witness
+    is a valid run but not necessarily shortest, and
+    [explored]/[transitions] counts are schedule-dependent.  Budgeted
+    multi-domain runs are best-effort: near the budget boundary a run
+    may report [Budget_exhausted] where one domain completed, but never
+    the converse flip of a definite verdict.
+
+    @raise Ita_ta.Update.Out_of_range when an update takes a variable
+    outside its declared range; [var] indexes the original (unsliced)
+    network. *)
 
 val explore :
   ?order:order ->
@@ -219,9 +230,9 @@ val explore :
   [ `Complete of stats | `Budget_exhausted of stats ]
 (** Full exploration, calling [on_store] once per non-subsumed symbolic
     state; used by sup-style queries and state-space measurements.
-    With [domains > 1] the [on_store] calls are serialised under a
-    dedicated mutex, so existing single-threaded consumers (sup
-    tracking, deadlock probes) need no changes.
+    The [on_store] calls are serialised under a dedicated mutex, so
+    single-threaded consumers (sup tracking, deadlock probes) need no
+    changes at any domain count.
 
     [?snap] fires on [`Complete] with the explored (flow-refined,
     bumped) network and the sorted passed list; callers that slice

@@ -91,7 +91,7 @@ let sup ?order ?budget ?abstraction ?reduction ?bounds ?domains ?slicing ?snap
                 stats;
               })
   in
-  attempt initial_ceiling
+  Ita_analysis.Slice.unmap_errors sl (fun () -> attempt initial_ceiling)
 
 type search_result = {
   lower : int option;

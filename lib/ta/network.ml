@@ -20,7 +20,15 @@ let invalid fmt = Format.kasprintf (fun s -> raise (Invalid_model s)) fmt
 let n_clocks net = Array.length net.clock_names - 1
 let n_components net = Array.length net.automata
 
+(* Constants beyond [Bound.max_constant] would overflow the zone
+   encoding. *)
+let check_constant clock_names x c =
+  if c > Ita_dbm.Bound.max_constant then
+    invalid "clock %s: constant %d exceeds the supported magnitude %d"
+      clock_names.(x) c Ita_dbm.Bound.max_constant
+
 let bump_clock_bound net x c =
+  check_constant net.clock_names x c;
   let k = Array.copy net.k in
   k.(x) <- max k.(x) c;
   let lbase = Array.copy net.lbase and ubase = Array.copy net.ubase in
@@ -137,6 +145,7 @@ module Builder = struct
         a.edges
     in
     Array.iter scan_automaton automata;
+    Array.iteri (check_constant clock_names) k;
     (* Location-based clock activity (Daws-Yovine): backward fixpoint
        per automaton.  active(l) = tested(l) + union over outgoing
        edges e of (tested-by-guard(e) + (active(dst e) minus resets

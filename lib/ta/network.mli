@@ -57,7 +57,8 @@ val bump_clock_bound : t -> Guard.clock -> int -> t
 (** [bump_clock_bound net x c] returns a network whose extrapolation
     constants for [x] (classical [k] and both LU floors) are at least
     [c] and which pins [x] as always active (queries observe it);
-    shares everything else. *)
+    shares everything else.
+    @raise Invalid_model when [c] exceeds {!Ita_dbm.Bound.max_constant}. *)
 
 val component_index : t -> string -> int
 (** @raise Not_found on unknown automaton name. *)
@@ -82,7 +83,11 @@ module Builder : sig
   val add_automaton : b -> Automaton.t -> unit
 
   val build : ?validate:bool -> b -> network
-  (** @raise Invalid_model when a static check fails.  [~validate:false]
+  (** @raise Invalid_model when a static check fails, including any
+      clock constant (guard, invariant or reset value, at its largest
+      magnitude over the declared variable ranges) beyond
+      {!Ita_dbm.Bound.max_constant}, which the zone encoding cannot
+      represent — this check runs even under [~validate:false].  [~validate:false]
       skips the urgent/broadcast clock-guard checks and is meant for
       the static analyzer only ({!Ita_analysis.Lint} reports the same
       conditions as error diagnostics): a network built that way must

@@ -1,6 +1,6 @@
 open Ita_ta
 
-exception Elab_error of string
+exception Elab_error of { pos : Ast.pos option; message : string }
 
 type query =
   | Reach_q of Ita_mc.Query.t
@@ -15,7 +15,40 @@ type srcmap = {
 
 type t = { net : Network.t; queries : query list; srcmap : srcmap }
 
-let err fmt = Printf.ksprintf (fun s -> raise (Elab_error s)) fmt
+let err fmt =
+  Printf.ksprintf (fun message -> raise (Elab_error { pos = None; message })) fmt
+
+(* A clock constant beyond [Bound.max_constant] would wrap around the
+   zone encoding and silently corrupt verdicts, so it is rejected where
+   it is written; a bound expression counts with its largest magnitude
+   over the declared variable [ranges].  Queries carry no source
+   position: [pos = None] marks a query constant. *)
+let check_constant ranges pos e =
+  let lo, hi = Expr.interval ranges e in
+  let c = if abs lo > abs hi then lo else hi in
+  let m = Ita_dbm.Bound.max_constant in
+  if abs c > m then
+    raise
+      (Elab_error
+         {
+           pos;
+           message =
+             Printf.sprintf
+               "%sclock constant %d is outside the supported range [-%d, %d]"
+               (if pos = Option.None then "query " else "")
+               c m m;
+         })
+
+let check_guard ranges pos (g : Guard.t) =
+  List.iter (fun (a : Guard.atom) -> check_constant ranges pos a.Guard.bound)
+    g.Guard.clocks
+
+let check_update ranges pos (u : Update.t) =
+  List.iter
+    (function
+      | Update.Reset_clock (_, e) -> check_constant ranges pos e
+      | Update.Set_var _ -> ())
+    u
 
 type names = {
   clocks : (string, Guard.clock) Hashtbl.t;
@@ -157,10 +190,9 @@ let query_of names net e =
     | e -> e
   in
   let e = strip e in
-  {
-    Ita_mc.Query.comp_locs = List.rev !locs;
-    guard = guard names e;
-  }
+  let g = guard names e in
+  check_guard net.Network.var_ranges Option.None g;
+  { Ita_mc.Query.comp_locs = List.rev !locs; guard = g }
 
 let elaborate ?(validate = true) (decls : Ast.t) =
   let b = Network.Builder.create () in
@@ -187,6 +219,12 @@ let elaborate ?(validate = true) (decls : Ast.t) =
             (Network.Builder.channel b chan_name kind ~urgent)
       | Ast.Process _ | Ast.Query _ -> ())
     decls;
+  let ranges =
+    Array.of_list
+      (List.filter_map
+         (function Ast.Var { lo; hi; _ } -> Some (lo, hi) | _ -> Option.None)
+         decls)
+  in
   (* second pass: processes *)
   List.iter
     (function
@@ -206,7 +244,10 @@ let elaborate ?(validate = true) (decls : Ast.t) =
                   invariant =
                     (match l.Ast.loc_inv with
                     | None -> Guard.tt
-                    | Some e -> guard names e);
+                    | Some e ->
+                        let g = guard names e in
+                        check_guard ranges (Some l.Ast.loc_pos) g;
+                        g);
                   kind =
                     (match l.Ast.loc_kind with
                     | `Normal -> Automaton.Normal
@@ -237,19 +278,24 @@ let elaborate ?(validate = true) (decls : Ast.t) =
           let edges =
             List.map
               (fun (e : Ast.edge_decl) ->
+                let u = update names e.Ast.edge_updates in
+                let g =
+                  match e.Ast.edge_guard with
+                  | None -> Guard.tt
+                  | Some g -> guard names g
+                in
+                check_guard ranges (Some e.Ast.edge_pos) g;
+                check_update ranges (Some e.Ast.edge_pos) u;
                 {
                   Automaton.src = loc e.Ast.edge_src;
                   dst = loc e.Ast.edge_dst;
-                  guard =
-                    (match e.Ast.edge_guard with
-                    | None -> Guard.tt
-                    | Some g -> guard names g);
+                  guard = g;
                   sync =
                     (match e.Ast.edge_sync with
                     | Ast.No_sync -> Automaton.NoSync
                     | Ast.Send c -> Automaton.Send (chan c)
                     | Ast.Recv c -> Automaton.Recv (chan c));
-                  update = update names e.Ast.edge_updates;
+                  update = u;
                 })
               p.Ast.edges
           in

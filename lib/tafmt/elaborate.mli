@@ -3,7 +3,9 @@
 
 open Ita_ta
 
-exception Elab_error of string
+exception Elab_error of { pos : Ast.pos option; message : string }
+(** [pos] locates the offending location or edge declaration when the
+    error is tied to one (e.g. an out-of-range clock constant). *)
 
 type query =
   | Reach_q of Ita_mc.Query.t
@@ -22,7 +24,8 @@ type t = { net : Network.t; queries : query list; srcmap : srcmap }
 
 val elaborate : ?validate:bool -> Ast.t -> t
 (** @raise Elab_error on unresolved names, clock constraints under
-    disjunction/negation, or comparisons between two clocks.
+    disjunction/negation, comparisons between two clocks, or clock
+    constants beyond {!Ita_dbm.Bound.max_constant}.
     @raise Network.Invalid_model via the builder's static checks.
     [~validate:false] skips the builder's urgent/broadcast clock-guard
     checks so the linter can diagnose them instead; such a network must

@@ -297,8 +297,8 @@ let test_bounds_never_hurt =
     ~name:"flow-refined bounds never explore more states"
     gen_random_flow_net
     (fun net ->
-      (* explored counts are only comparable on the sequential engine:
-         pin domains so TAMC_DOMAINS cannot make them schedule-dependent *)
+      (* explored counts are only comparable at one domain: pin domains
+         so TAMC_DOMAINS cannot make them schedule-dependent *)
       let count bounds =
         match
           Reach.explore ~bounds ~budget:(Reach.states 200_000) ~domains:1 net

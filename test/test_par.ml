@@ -1,7 +1,7 @@
-(* Differential tests for the parallel exploration engine: every
-   verdict, WCRT and final antichain produced with worker domains must
-   be identical to the sequential engine's (domains = 1), on the model
-   zoo, on random automata and on the radionav case study.  Stats that
+(* Differential tests for multi-domain exploration: every verdict,
+   WCRT and final antichain produced with worker domains must be
+   identical to the one-domain (sequential) search's, on the model zoo,
+   on random automata and on the radionav case study.  Stats that
    the sharded passed list promises to keep deterministic (stored,
    i.e. resident zones) are stress-tested for nondeterminism; stats
    documented as schedule-dependent (explored, transitions) are never
@@ -29,8 +29,8 @@ let antichain_fp net passed =
 let resident_zones passed =
   List.fold_left (fun n (_, zones) -> n + List.length zones) 0 passed
 
-let explore_passed_exn ?budget ?abstraction ~domains net =
-  match Reach.explore_passed ?budget ?abstraction ~domains net with
+let explore_passed_exn ?order ?budget ?abstraction ~domains net =
+  match Reach.explore_passed ?order ?budget ?abstraction ~domains net with
   | `Complete (passed, stats) -> (passed, stats)
   | `Budget_exhausted _ -> Alcotest.fail "exploration should complete"
 
@@ -552,6 +552,123 @@ let test_stored_is_resident () =
     seq_stats.Reach.stored stats_lu.Reach.stored
 
 (* ------------------------------------------------------------------ *)
+(* One domain: worker 0 alone must be a sequential search — a FIFO
+   waiting list under Bfs, LIFO under Dfs/Random_dfs, shuffled with the
+   order's own seed.  Counts and witness lengths are pinned to golden
+   values of exactly that search, so neither the deque discipline nor
+   the seeding can drift.                                              *)
+(* ------------------------------------------------------------------ *)
+
+let order_name = function
+  | Reach.Bfs -> "bfs"
+  | Reach.Dfs -> "dfs"
+  | Reach.Random_dfs s -> Printf.sprintf "rdfs %d" s
+
+let orders = [ Reach.Bfs; Reach.Dfs; Reach.Random_dfs 7 ]
+let counts (s : Reach.stats) =
+  (s.Reach.explored, s.Reach.stored, s.Reach.transitions)
+
+let test_one_domain_zoo_counts () =
+  (* (model, [(explored, stored, transitions)] per order in [orders]) *)
+  let golden ~lusim = function
+    | "committed-gate" -> List.init 3 (fun _ -> (6, 6, 6))
+    | "broadcast" -> List.init 3 (fun _ -> (2, 2, 1))
+    | "wide-frontier" when lusim ->
+        [ (122, 79, 552); (115, 79, 498); (104, 79, 446) ]
+    | "wide-frontier" -> [ (165, 121, 777); (166, 121, 762); (147, 121, 668) ]
+    | _ -> List.init 3 (fun _ -> (3, 3, 2))
+  in
+  List.iter
+    (fun (name, net) ->
+      List.iter
+        (fun (abstraction, lusim) ->
+          List.iter2
+            (fun order expected ->
+              let _, stats =
+                explore_passed_exn ~order ~abstraction ~domains:1 net
+              in
+              Alcotest.(check (triple int int int))
+                (Printf.sprintf "%s %s%s" name (order_name order)
+                   (if lusim then " lusim" else ""))
+                expected (counts stats);
+              Alcotest.(check int) "no steals" 0 stats.Reach.steals)
+            orders (golden ~lusim name))
+        [ (Reach.ExtraLU, false); (Reach.LuSim, true) ])
+    (zoo ())
+
+let test_one_domain_witnesses () =
+  (* Bfs witnesses are shortest; the Dfs and Random_dfs lengths pin the
+     LIFO discipline and worker 0's seed *)
+  let net = wide_frontier () in
+  let at c l = Query.at net ~comp:c ~loc:l in
+  let cases =
+    [
+      ( "P0.C & P1.B & P2.C",
+        Query.conj (at "P0" "C") (Query.conj (at "P1" "B") (at "P2" "C")),
+        [ (4, (15, 44, 70)); (10, (9, 35, 44)); (6, (5, 19, 21)) ] );
+      ( "P0.B & P1.B & P2.B && c0 >= 3",
+        Query.with_guard
+          (Query.conj (at "P0" "B") (Query.conj (at "P1" "B") (at "P2" "B")))
+          (Guard.clock_ge 1 3),
+        [ (4, (9, 34, 45)); (16, (15, 38, 78)); (20, (19, 57, 82)) ] );
+    ]
+  in
+  List.iter
+    (fun (name, q, expected) ->
+      List.iter2
+        (fun order (len, cnt) ->
+          match
+            Reach.reach ~order ~abstraction:Reach.ExtraLU ~slicing:Reach.Off
+              ~domains:1 net q
+          with
+          | Reach.Reachable { witness; stats; _ } ->
+              let what = Printf.sprintf "%s %s" name (order_name order) in
+              Alcotest.(check int) (what ^ ": witness length") len
+                (List.length witness);
+              Alcotest.(check (triple int int int)) (what ^ ": counts") cnt
+                (counts stats)
+          | _ -> Alcotest.failf "%s is reachable" name)
+        orders expected)
+    cases
+
+let test_one_domain_radionav_counts () =
+  (* the sup-query behind Analyze.wcrt, with every knob pinned *)
+  List.iter
+    (fun (combo, col, scen, req, wcrt, expected) ->
+      let sys = R.system combo col in
+      let s = Ita_core.Sysmodel.scenario sys scen in
+      let rq = Ita_core.Scenario.requirement s req in
+      let gen = Ita_core.Gen.generate ~measure:(scen, rq) sys in
+      let obs = Option.get gen.Ita_core.Gen.observer in
+      let uncontended =
+        Ita_core.Sysmodel.uncontended_us sys s
+          ~from_step:rq.Ita_core.Scenario.from_step
+          ~to_step:rq.Ita_core.Scenario.to_step
+      in
+      let name =
+        Printf.sprintf "%s/%s/%s [%s]" (R.combo_name combo) scen req
+          (R.column_name col)
+      in
+      match
+        Wcrt.sup ~order:Reach.Bfs ~abstraction:Reach.ExtraLU
+          ~reduction:Reach.Active ~bounds:Reach.Flow ~slicing:Reach.CoiMerge
+          ~domains:1
+          ~initial_ceiling:(max 4 (4 * uncontended))
+          gen.Ita_core.Gen.net ~at:obs.Ita_core.Gen.seen
+          ~clock:obs.Ita_core.Gen.obs_clock
+      with
+      | Wcrt.Sup { value; stats; _ } ->
+          Alcotest.(check int) (name ^ ": wcrt") wcrt value;
+          Alcotest.(check (triple int int int)) (name ^ ": counts") expected
+            (counts stats)
+      | _ -> Alcotest.failf "%s: expected a sup" name)
+    [
+      (R.Al_tmc, R.Sp, "HandleTMC", "TMC", 239_081, (625, 625, 883));
+      (R.Cv_tmc, R.Po, "HandleTMC", "TMC", 373_859, (1678, 1678, 1763));
+      (R.Al_tmc, R.Po, "AddressLookup", "E2E", 79_075, (116, 116, 139));
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Parallel engine plumbing: budgets, witnesses, defaults              *)
 (* ------------------------------------------------------------------ *)
 
@@ -601,6 +718,13 @@ let () =
             test_stress_deterministic_stats;
           Alcotest.test_case "stored = resident after merges" `Quick
             test_stored_is_resident;
+        ] );
+      ( "one domain",
+        [
+          Alcotest.test_case "zoo counts" `Quick test_one_domain_zoo_counts;
+          Alcotest.test_case "witnesses" `Quick test_one_domain_witnesses;
+          Alcotest.test_case "radionav counts" `Quick
+            test_one_domain_radionav_counts;
         ] );
       ( "plumbing",
         [

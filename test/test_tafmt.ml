@@ -147,6 +147,107 @@ let test_elaborate_errors () =
   (* two init locations *)
   expect_err "process P { init loc A init loc B }"
 
+(* Clock constants must fit the zone encoding: beyond
+   Bound.max_constant a guard or invariant used to wrap around and turn
+   a reachable goal unreachable. *)
+let constant_model inv guard =
+  Printf.sprintf
+    "clock x\nprocess P {\n  init loc a inv x <= %d\n  loc b\n  edge a -> b \
+     when x >= %d\n}\nquery reach P.b\n"
+    inv guard
+
+let test_constant_range () =
+  let m = Ita_dbm.Bound.max_constant in
+  (match
+     E.elaborate (P.parse_string (constant_model max_int (max_int - 903)))
+   with
+  | _ -> Alcotest.fail "a 2^62 constant must be rejected"
+  | exception E.Elab_error { pos; _ } ->
+      Alcotest.(check (option (pair int int)))
+        "rejected at the invariant's location" (Some (3, 8))
+        (Option.map (fun (p : Ast.pos) -> (p.Ast.line, p.Ast.col)) pos));
+  (match E.elaborate (P.parse_string (constant_model (m + 1) 0)) with
+  | _ -> Alcotest.fail "max_constant + 1 must be rejected"
+  | exception E.Elab_error { pos = Some _; _ } -> ());
+  (match
+     E.elaborate
+       (P.parse_string
+          "clock x\nprocess P { init loc a }\n\
+           query reach P.a && x >= -1152921504606846976\n")
+   with
+  | _ -> Alcotest.fail "an out-of-range query constant must be rejected"
+  | exception E.Elab_error { pos = Option.None; _ } -> ());
+  (* the largest allowed constant is exact under every abstraction *)
+  let { E.net; queries; _ } =
+    E.elaborate (P.parse_string (constant_model m (m - 903)))
+  in
+  let q = match queries with [ E.Reach_q q ] -> q | _ -> assert false in
+  List.iter
+    (fun abstraction ->
+      List.iter
+        (fun domains ->
+          match Ita_mc.Reach.reach ~abstraction ~domains net q with
+          | Ita_mc.Reach.Reachable _ -> ()
+          | _ -> Alcotest.fail "P.b is reachable at the largest constant")
+        [ 1; 4 ])
+    [ Ita_mc.Reach.ExtraM; Ita_mc.Reach.ExtraLU; Ita_mc.Reach.LuSim ];
+  (* networks built without the .ta front end are checked too *)
+  let b = Network.Builder.create () in
+  let x = Network.Builder.clock b "x" in
+  Network.Builder.add_automaton b
+    (Automaton.make ~name:"P"
+       ~locations:
+         [ { Automaton.loc_name = "a"; invariant = Guard.clock_le x (m + 1);
+             kind = Automaton.Normal } ]
+       ~edges:[] ~initial:0);
+  (match Network.Builder.build b with
+  | _ -> Alcotest.fail "the builder must reject max_constant + 1"
+  | exception Network.Invalid_model _ -> ());
+  match Network.bump_clock_bound net x (m + 1) with
+  | _ -> Alcotest.fail "bump_clock_bound must reject max_constant + 1"
+  | exception Network.Invalid_model _ -> ()
+
+(* An update leaving its declared range surfaces as Update.Out_of_range
+   naming the variable in the original network's index space, even when
+   slicing removed an earlier variable. *)
+let test_out_of_range_unmapped () =
+  let src =
+    {|
+clock x
+var u 0 1 0
+var v -5 5 0
+process Q {
+  init loc c
+  loc d
+  edge c -> d do u := 1
+}
+process P {
+  init loc a
+  loc b
+  edge a -> b do v := v + 1000
+}
+query reach P.b
+query sup x at P.b
+|}
+  in
+  let { E.net; queries; _ } = E.elaborate (P.parse_string src) in
+  let v = Network.var_index net "v" in
+  let expect what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Update.Out_of_range" what
+    | exception Update.Out_of_range { var; value } ->
+        Alcotest.(check (pair int int)) what (v, 1000) (var, value)
+  in
+  List.iter
+    (fun slicing ->
+      match queries with
+      | [ E.Reach_q q; E.Sup_q { clock; at } ] ->
+          expect "reach" (fun () -> ignore (Ita_mc.Reach.reach ~slicing net q));
+          expect "sup" (fun () ->
+              ignore (Ita_mc.Wcrt.sup ~slicing net ~at ~clock))
+      | _ -> Alcotest.fail "expected a reach and a sup query")
+    [ Ita_mc.Reach.Off; Ita_mc.Reach.Coi; Ita_mc.Reach.CoiMerge ]
+
 (* tests run from _build/default/test under dune, or from the repo root
    when the executable is invoked directly *)
 let model_path name =
@@ -231,6 +332,9 @@ let () =
           Alcotest.test_case "sync and urgency" `Quick
             test_elaborate_sync_and_urgent;
           Alcotest.test_case "errors" `Quick test_elaborate_errors;
+          Alcotest.test_case "clock constant range" `Quick test_constant_range;
+          Alcotest.test_case "out-of-range update names the variable" `Quick
+            test_out_of_range_unmapped;
           Alcotest.test_case "example file" `Quick test_load_example_file;
           Alcotest.test_case "fischer protocol" `Quick test_fischer;
           Alcotest.test_case "train gate" `Quick test_train_gate;

@@ -1,23 +1,16 @@
-(* Zone-engine benchmark: ExtraM vs Extra+LU vs LuSim, machine-readable.
+(* Zone-engine benchmark: Extra+LU vs LuSim, machine-readable.
 
    Runs the WCRT sup-query on the tractable radio-navigation cells
    (the paper's case study; the periodic-with-offset column is the
    acceptance gate) and a full exploration of a synthetic token-ring
-   scaling family, under all abstractions, and writes BENCH_mc.json
+   scaling family, under both abstractions, and writes BENCH_mc.json
    with explored/stored/transitions/elapsed per cell per abstraction.
 
    The abstractions must report identical WCRT results on every
-   cell — Extra+LU only wins over ExtraM by exploring fewer symbolic
-   states, and LuSim (unextrapolated zones pruned with the a<|LU
+   cell, and LuSim (unextrapolated zones pruned with the a<|LU
    simulation) must never explore more than Extra+LU in aggregate,
    strictly less on the sporadic family where simulation subsumes
    zones that differ only above the L/U constants.
-
-   Each cell additionally carries a reduction-off run (Extra+LU with
-   the active-clock reduction disabled) and a flow-off run (Extra+LU
-   with the builder's static extrapolation bounds instead of the
-   dataflow-refined ones): both knobs must preserve every result
-   verbatim and never explore more states than their off position.
 
    Query cells (everything driven by a sup-query: radionav and the
    station family) also carry a sliced run (Extra+LU with the
@@ -82,7 +75,7 @@ type cert_run = {
 let certify_sup net ~at ~clock =
   let module Cert = Ita_cert.Cert in
   let module Cert_emit = Ita_mc.Cert_emit in
-  let snap = ref Option.None in
+  let snap = ref None in
   match
     Wcrt.sup ~abstraction:Reach.ExtraLU ~domains:1 ~slicing:Reach.Off
       ~snap:(fun s -> snap := Some s)
@@ -111,16 +104,13 @@ let certify_sup net ~at ~clock =
         }
   | Wcrt.Goal_unreachable _ | Wcrt.Sup_budget_exhausted _
   | Wcrt.Sup_unbounded _ ->
-      Option.None
+      None
 
 type cell = {
   name : string;
   kind : string;
-  extram : run;
   extralu : run;
   lusim : run;  (* a<|LU simulation subsumption, unextrapolated zones *)
-  extralu_nored : run;  (* Extra+LU with ~reduction:None *)
-  extralu_noflow : run;  (* Extra+LU with ~bounds:Static *)
   slice : slice_run option;
       (* Extra+LU re-run with query-directed slicing on; only for
          cells driven by a sup-query — the raw-exploration synthetic
@@ -168,11 +158,10 @@ let radionav_cell (row : R.row) column =
   (* every baseline column is pinned to ~slicing:Off so the explored
      counts measure the abstraction knobs alone; the sliced column is
      the only run with the reduction on *)
-  let sup_stats ?(domains = 1) ?reduction ?bounds ?(slicing = Reach.Off)
-      abstraction =
+  let sup_stats ?(domains = 1) ?(slicing = Reach.Off) abstraction =
     match
-      Wcrt.sup ~abstraction ~domains ?reduction ?bounds ~slicing gen.Gen.net
-        ~at:obs.Gen.seen ~clock:obs.Gen.obs_clock
+      Wcrt.sup ~abstraction ~domains ~slicing gen.Gen.net ~at:obs.Gen.seen
+        ~clock:obs.Gen.obs_clock
     with
     | Wcrt.Sup { value; stats; _ } ->
         (run_of_stats stats (Printf.sprintf "wcrt=%d" value), stats)
@@ -181,9 +170,7 @@ let radionav_cell (row : R.row) column =
         (run_of_stats stats "budget", stats)
     | Wcrt.Sup_unbounded { stats; _ } -> (run_of_stats stats "unbounded", stats)
   in
-  let sup ?reduction ?bounds ?slicing abstraction =
-    fst (sup_stats ?reduction ?bounds ?slicing abstraction)
-  in
+  let sup ?slicing abstraction = fst (sup_stats ?slicing abstraction) in
   let name =
     Printf.sprintf "%s/%s/%s [%s]"
       (match row.R.combo with R.Cv_tmc -> "cv" | R.Al_tmc -> "al")
@@ -213,11 +200,8 @@ let radionav_cell (row : R.row) column =
   {
     name;
     kind = "radionav";
-    extram = sup Reach.ExtraM;
     extralu;
     lusim = sup Reach.LuSim;
-    extralu_nored = sup ~reduction:Reach.None Reach.ExtraLU;
-    extralu_noflow = sup ~bounds:Reach.Static Reach.ExtraLU;
     slice;
     parallel;
     cert = certify_sup gen.Gen.net ~at:obs.Gen.seen ~clock:obs.Gen.obs_clock;
@@ -243,17 +227,14 @@ let radionav_cells () =
    Each client clock only appears in a lower-bound guard
    ([x_i >= s_i] on its own re-arm loop), so its U constant is 0 and
    Extra+LU immediately forgets how large it has grown — the classic
-   LU win on minimum-separation (sporadic) event models, which
-   classical ExtraM cannot merge.
+   LU win on minimum-separation (sporadic) event models.
 
    The separation [s_i] is a never-written configuration variable
    declared with generous headroom ([0, 4*S_i], initialized to S_i) —
    the idiom of a tunable architecture parameter.  The builder's static
    scan must take the guard bound's worst case over the declared range
    (L(x_i) = 4*S_i); the dataflow analysis proves s_i is the constant
-   S_i, so the flow-refined L is 4x tighter and Extra+LU merges
-   correspondingly more states.  This is the flow-bounds column's
-   guaranteed strict win.                                              *)
+   S_i, so the flow-refined L the engine uses is 4x tighter.          *)
 (* ------------------------------------------------------------------ *)
 
 let sporadic_family n =
@@ -319,17 +300,12 @@ let sporadic_family n =
 
 let sporadic_cell n =
   let net = sporadic_family n in
-  let explore_stats ?(domains = 1) ?reduction ?bounds abstraction =
-    match
-      Reach.explore ~abstraction ~domains ?reduction ?bounds net
-        ~on_store:(fun _ -> ())
-    with
+  let explore_stats ?(domains = 1) abstraction =
+    match Reach.explore ~abstraction ~domains net ~on_store:(fun _ -> ()) with
     | `Complete stats -> (run_of_stats stats "complete", stats)
     | `Budget_exhausted stats -> (run_of_stats stats "budget", stats)
   in
-  let explore ?reduction ?bounds abstraction =
-    fst (explore_stats ?reduction ?bounds abstraction)
-  in
+  let explore abstraction = fst (explore_stats abstraction) in
   let extralu = explore Reach.ExtraLU in
   let parallel =
     match bench_par_domains with
@@ -341,14 +317,11 @@ let sporadic_cell n =
   {
     name = Printf.sprintf "sporadic %d" n;
     kind = "synthetic";
-    extram = explore Reach.ExtraM;
     extralu;
     lusim = explore Reach.LuSim;
-    extralu_nored = explore ~reduction:Reach.None Reach.ExtraLU;
-    extralu_noflow = explore ~bounds:Reach.Static Reach.ExtraLU;
-    slice = Option.None;
+    slice = None;
     parallel;
-    cert = Option.None;
+    cert = None;
   }
 
 let ring_cells () =
@@ -437,11 +410,8 @@ let station_cell n =
   let net = station_family n in
   let at = Ita_mc.Query.at net ~comp:"Station" ~loc:"Done" in
   let clock = 1 (* y *) in
-  let sup_stats ?reduction ?bounds ?(slicing = Reach.Off) abstraction =
-    match
-      Wcrt.sup ~abstraction ~domains:1 ?reduction ?bounds ~slicing net ~at
-        ~clock
-    with
+  let sup_stats ?(slicing = Reach.Off) abstraction =
+    match Wcrt.sup ~abstraction ~domains:1 ~slicing net ~at ~clock with
     | Wcrt.Sup { value; stats; _ } ->
         (run_of_stats stats (Printf.sprintf "wcrt=%d" value), stats)
     | Wcrt.Goal_unreachable stats -> (run_of_stats stats "unreachable", stats)
@@ -449,9 +419,7 @@ let station_cell n =
         (run_of_stats stats "budget", stats)
     | Wcrt.Sup_unbounded { stats; _ } -> (run_of_stats stats "unbounded", stats)
   in
-  let sup ?reduction ?bounds ?slicing abstraction =
-    fst (sup_stats ?reduction ?bounds ?slicing abstraction)
-  in
+  let sup ?slicing abstraction = fst (sup_stats ?slicing abstraction) in
   let slice =
     let _, snet, _ =
       Reach.slice_query Reach.CoiMerge ~extra_clocks:[ clock ] net at
@@ -466,13 +434,10 @@ let station_cell n =
   {
     name = Printf.sprintf "station %d" n;
     kind = "station";
-    extram = sup Reach.ExtraM;
     extralu = sup Reach.ExtraLU;
     lusim = sup Reach.LuSim;
-    extralu_nored = sup ~reduction:Reach.None Reach.ExtraLU;
-    extralu_noflow = sup ~bounds:Reach.Static Reach.ExtraLU;
     slice;
-    parallel = Option.None;
+    parallel = None;
     cert = certify_sup net ~at ~clock;
   }
 
@@ -490,36 +455,16 @@ let json_run buf r =
        r.explored r.stored r.transitions r.elapsed r.result)
 
 let json_cell buf c =
-  let ratio =
-    if c.extram.explored = 0 then 1.0
-    else float_of_int c.extralu.explored /. float_of_int c.extram.explored
-  in
-  let red_ratio =
-    if c.extralu_nored.explored = 0 then 1.0
-    else
-      float_of_int c.extralu.explored /. float_of_int c.extralu_nored.explored
-  in
-  let flow_ratio =
-    if c.extralu_noflow.explored = 0 then 1.0
-    else
-      float_of_int c.extralu.explored /. float_of_int c.extralu_noflow.explored
-  in
   let lusim_ratio =
     if c.extralu.explored = 0 then 1.0
     else float_of_int c.lusim.explored /. float_of_int c.extralu.explored
   in
   Buffer.add_string buf
     (Printf.sprintf
-       {|    {"name": %S, "kind": %S, "results_match": %b, "explored_ratio": %.4f, "lusim_results_match": %b, "lusim_explored_ratio": %.4f, "reduction_results_match": %b, "reduction_explored_ratio": %.4f, "flow_results_match": %b, "flow_bounds_explored_ratio": %.4f, |}
+       {|    {"name": %S, "kind": %S, "lusim_results_match": %b, "lusim_explored_ratio": %.4f, |}
        c.name c.kind
-       (c.extram.result = c.extralu.result)
-       ratio
        (c.extralu.result = c.lusim.result)
-       lusim_ratio
-       (c.extralu.result = c.extralu_nored.result)
-       red_ratio
-       (c.extralu.result = c.extralu_noflow.result)
-       flow_ratio);
+       lusim_ratio);
   (match c.slice with
   | None ->
       Buffer.add_string buf
@@ -560,16 +505,10 @@ let json_cell buf c =
            p.par_steals);
       json_run buf p.par;
       Buffer.add_string buf ", ");
-  Buffer.add_string buf {|"extram": |};
-  json_run buf c.extram;
-  Buffer.add_string buf {|, "extralu": |};
+  Buffer.add_string buf {|"extralu": |};
   json_run buf c.extralu;
   Buffer.add_string buf {|, "lusim": |};
   json_run buf c.lusim;
-  Buffer.add_string buf {|, "extralu_no_reduction": |};
-  json_run buf c.extralu_nored;
-  Buffer.add_string buf {|, "extralu_no_flow": |};
-  json_run buf c.extralu_noflow;
   Buffer.add_string buf "}"
 
 (* the producing commit, so a checked-in BENCH_mc.json is attributable;
@@ -586,23 +525,8 @@ let git_commit () =
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_mc.json" in
   let cells = radionav_cells () @ ring_cells () @ station_cells () in
-  let mismatches =
-    List.filter (fun c -> c.extram.result <> c.extralu.result) cells
-  in
   let lusim_mismatches =
     List.filter (fun c -> c.extralu.result <> c.lusim.result) cells
-  in
-  let red_mismatches =
-    List.filter (fun c -> c.extralu.result <> c.extralu_nored.result) cells
-  in
-  let red_regressions =
-    List.filter (fun c -> c.extralu.explored > c.extralu_nored.explored) cells
-  in
-  let flow_mismatches =
-    List.filter (fun c -> c.extralu.result <> c.extralu_noflow.result) cells
-  in
-  let flow_regressions =
-    List.filter (fun c -> c.extralu.explored > c.extralu_noflow.explored) cells
   in
   let slice_mismatches =
     List.filter
@@ -622,21 +546,12 @@ let () =
   in
   List.iter
     (fun c ->
-      Printf.printf
-        "%-40s extram %7d  extralu %7d  lusim %7d  no-red %7d  no-flow %7d  \
-         ratio %.3f  lusim-ratio %.3f  [%s]\n\
-         %!"
-        c.name c.extram.explored c.extralu.explored c.lusim.explored
-        c.extralu_nored.explored c.extralu_noflow.explored
-        (if c.extram.explored = 0 then 1.0
-         else float_of_int c.extralu.explored /. float_of_int c.extram.explored)
+      Printf.printf "%-40s extralu %7d  lusim %7d  lusim-ratio %.3f  [%s]\n%!"
+        c.name c.extralu.explored c.lusim.explored
         (if c.extralu.explored = 0 then 1.0
          else float_of_int c.lusim.explored /. float_of_int c.extralu.explored)
-        (if c.extram.result = c.extralu.result && c.extralu.result = c.lusim.result
-         then c.extram.result
-         else
-           Printf.sprintf "MISMATCH %s vs %s vs %s" c.extram.result
-             c.extralu.result c.lusim.result);
+        (if c.extralu.result = c.lusim.result then c.extralu.result
+         else Printf.sprintf "MISMATCH %s vs %s" c.extralu.result c.lusim.result);
       (match c.slice with
       | None -> ()
       | Some sr ->
@@ -677,28 +592,7 @@ let () =
         "parallel column skipped: single-core host (speedup would be noise)\n%!"
   | Some d ->
       Printf.printf "parallel column: %d domains on eligible cells\n%!" d);
-  let po_cells = List.filter (fun c -> c.kind = "radionav") cells in
   let total l f = List.fold_left (fun a c -> a + f c) 0 l in
-  let ratio_of l =
-    let m = total l (fun c -> c.extram.explored) in
-    let lu = total l (fun c -> c.extralu.explored) in
-    if m = 0 then 1.0 else float_of_int lu /. float_of_int m
-  in
-  let po_ratio = ratio_of po_cells in
-  Printf.printf "radionav explored ratio (extralu / extram): %.3f\n%!" po_ratio;
-  let red_ratio =
-    let off = total cells (fun c -> c.extralu_nored.explored) in
-    let on = total cells (fun c -> c.extralu.explored) in
-    if off = 0 then 1.0 else float_of_int on /. float_of_int off
-  in
-  Printf.printf "reduction explored ratio (active / none): %.3f\n%!" red_ratio;
-  let flow_ratio =
-    let off = total cells (fun c -> c.extralu_noflow.explored) in
-    let on = total cells (fun c -> c.extralu.explored) in
-    if off = 0 then 1.0 else float_of_int on /. float_of_int off
-  in
-  Printf.printf "flow-bounds explored ratio (flow / static): %.3f\n%!"
-    flow_ratio;
   let lusim_ratio_of l =
     let lu = total l (fun c -> c.extralu.explored) in
     let ls = total l (fun c -> c.lusim.explored) in
@@ -709,7 +603,7 @@ let () =
   let lusim_sporadic_ratio = lusim_ratio_of sporadic_cells in
   Printf.printf "lusim explored ratio (lusim / extralu): %.3f\n%!" lusim_ratio;
   Printf.printf "lusim sporadic explored ratio: %.3f\n%!" lusim_sporadic_ratio;
-  let slice_cells = List.filter (fun c -> c.slice <> Option.None) cells in
+  let slice_cells = List.filter (fun c -> c.slice <> None) cells in
   let slice_ratio_of l =
     let off = total l (fun c -> c.extralu.explored) in
     let on =
@@ -761,21 +655,12 @@ let () =
     | None -> {|  "git_commit": null,|});
   Buffer.add_string buf "\n";
   Buffer.add_string buf
-    (Printf.sprintf {|  "radionav_explored_ratio": %.4f,|} po_ratio);
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf
     (Printf.sprintf {|  "lusim_explored_ratio": %.4f,|} lusim_ratio);
   Buffer.add_string buf "\n";
   Buffer.add_string buf
     (Printf.sprintf
        {|  "lusim_sporadic_explored_ratio": %.4f,|}
        lusim_sporadic_ratio);
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf
-    (Printf.sprintf {|  "reduction_explored_ratio": %.4f,|} red_ratio);
-  Buffer.add_string buf "\n";
-  Buffer.add_string buf
-    (Printf.sprintf {|  "flow_bounds_explored_ratio": %.4f,|} flow_ratio);
   Buffer.add_string buf "\n";
   Buffer.add_string buf
     (Printf.sprintf {|  "slice_explored_ratio": %.4f,|} slice_ratio);
@@ -798,11 +683,6 @@ let () =
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "wrote %s\n%!" out;
-  if mismatches <> [] then begin
-    Printf.eprintf "ERROR: %d cells disagree between abstractions\n"
-      (List.length mismatches);
-    exit 1
-  end;
   if lusim_mismatches <> [] then begin
     Printf.eprintf
       "ERROR: %d cells disagree between Extra+LU and LuSim\n"
@@ -821,30 +701,6 @@ let () =
       "ERROR: LuSim shows no strict win on the sporadic family \
        (ratio %.4f)\n"
       lusim_sporadic_ratio;
-    exit 1
-  end;
-  if red_mismatches <> [] then begin
-    Printf.eprintf
-      "ERROR: %d cells disagree between reduction on and off\n"
-      (List.length red_mismatches);
-    exit 1
-  end;
-  if red_regressions <> [] then begin
-    Printf.eprintf
-      "ERROR: %d cells explore MORE states with the reduction on\n"
-      (List.length red_regressions);
-    exit 1
-  end;
-  if flow_mismatches <> [] then begin
-    Printf.eprintf
-      "ERROR: %d cells disagree between flow-refined and static bounds\n"
-      (List.length flow_mismatches);
-    exit 1
-  end;
-  if flow_regressions <> [] then begin
-    Printf.eprintf
-      "ERROR: %d cells explore MORE states with flow-refined bounds\n"
-      (List.length flow_regressions);
     exit 1
   end;
   if par_mismatches <> [] then begin

@@ -10,52 +10,16 @@ module Cert = Ita_cert.Cert
 module Cert_emit = Ita_mc.Cert_emit
 module E = Ita_tafmt.Elaborate
 
-let order_conv =
-  let parse = function
-    | "bfs" -> Ok Reach.Bfs
-    | "dfs" -> Ok Reach.Dfs
-    | "rdfs" -> Ok (Reach.Random_dfs 1)
-    | s -> Error (`Msg (Printf.sprintf "unknown order %S" s))
-  in
-  let print ppf o =
-    Format.pp_print_string ppf
-      (match o with
-      | Reach.Bfs -> "bfs"
-      | Reach.Dfs -> "dfs"
-      | Reach.Random_dfs _ -> "rdfs")
-  in
-  Arg.conv (parse, print)
+(* A command-line converter over one of [Reach]'s knob parsers, printing
+   the same name the parser accepts. *)
+let knob_conv parse name =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (parse s)),
+      fun ppf v -> Format.pp_print_string ppf (name v) )
 
-let abstraction_conv =
-  let parse = function
-    | "extram" -> Ok Reach.ExtraM
-    | "extralu" -> Ok Reach.ExtraLU
-    | "lusim" -> Ok Reach.LuSim
-    | s ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown abstraction %S (extram, extralu or lusim)"
-               s))
-  in
-  let print ppf a =
-    Format.pp_print_string ppf
-      (match a with
-      | Reach.ExtraM -> "extram"
-      | Reach.ExtraLU -> "extralu"
-      | Reach.LuSim -> "lusim")
-  in
-  Arg.conv (parse, print)
-
-let slicing_conv =
-  let parse s = Result.map_error (fun m -> `Msg m) (Reach.parse_slicing s) in
-  let print ppf s =
-    Format.pp_print_string ppf
-      (match s with
-      | Reach.Off -> "off"
-      | Reach.Coi -> "coi"
-      | Reach.CoiMerge -> "coimerge")
-  in
-  Arg.conv (parse, print)
+let order_conv = knob_conv Reach.parse_order Reach.order_name
+let abstraction_conv = knob_conv Reach.parse_abstraction Reach.abstraction_name
+let slicing_conv = knob_conv Reach.parse_slicing Reach.slicing_name
 
 let slicing_arg =
   Arg.(
@@ -293,10 +257,10 @@ let check_cmd =
       & opt abstraction_conv (Reach.default_abstraction ())
       & info [ "abstraction" ]
           ~doc:
-            "zone abstraction: extralu, lusim (store unextrapolated \
-             zones, subsume with the a<|LU simulation — coarsest) or \
-             extram (oracle); default: the TAMC_ABSTRACTION environment \
-             variable, else extralu")
+            "zone abstraction: extralu or lusim (store unextrapolated \
+             zones, subsume with the a<|LU simulation — coarsest); \
+             default: the TAMC_ABSTRACTION environment variable, else \
+             extralu")
   in
   let cert_out =
     Arg.(

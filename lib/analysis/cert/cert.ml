@@ -532,6 +532,45 @@ let validate_mask (net : Network.t) (mask : Reference.mask) =
     end
   done
 
+(* Quasi-equal merges: both clocks start at 0 and every edge of an
+   unmasked component resets both or neither, to the same constant
+   (frozen components reset no unmasked clock, validated above), so the
+   two are equal in every real run.  Consecution relies on that to skip
+   transitions only their equality disables. *)
+let validate_merges (net : Network.t) (mask : Reference.mask) merged =
+  let ncl = Array.length net.Network.clock_names in
+  List.iter
+    (fun (m, r) ->
+      if m <= 0 || r <= 0 || m >= ncl || r >= ncl || m = r then
+        fail Format "merged clock pair (%d, %d) out of range" m r;
+      if
+        mask.Reference.removed_clocks.(m) || mask.Reference.removed_clocks.(r)
+      then fail Mask "merged clock pair (%d, %d) includes a removed clock" m r;
+      Array.iteri
+        (fun i (a : Automaton.t) ->
+          if not mask.Reference.frozen_comps.(i) then
+            Array.iter
+              (fun (e : Automaton.edge) ->
+                let reset x =
+                  List.fold_left
+                    (fun acc -> function
+                      | Update.Reset_clock (y, v) when y = x -> Some v
+                      | Update.Reset_clock _ | Update.Set_var _ -> acc)
+                    None e.Automaton.update
+                in
+                match (reset m, reset r) with
+                | None, None -> ()
+                | Some (Expr.Int a), Some (Expr.Int b) when a = b -> ()
+                | _ ->
+                    fail Mask
+                      "clocks %s and %s are merged, but an edge of %s does \
+                       not reset both to the same constant"
+                      net.Network.clock_names.(m) net.Network.clock_names.(r)
+                      a.Automaton.name)
+              a.Automaton.edges)
+        net.Network.automata)
+    merged
+
 let validate_goal (net : Network.t) (mask : Reference.mask) (goal : goal) =
   List.iter
     (fun (i, l) ->
@@ -664,7 +703,8 @@ let dominated (mask : Reference.mask) env (e : entry) what obligation
 
 let covered_by (e : entry) z = List.exists (fun w -> Dbm.le_lu e.l e.u z w) e.zones
 
-let check_consecution (net : Network.t) (mask : Reference.mask) entries index =
+let check_consecution (net : Network.t) (mask : Reference.mask) merged entries
+    index =
   let zone_count = ref 0 in
   let earr = Array.of_list entries in
   let lookup st =
@@ -703,10 +743,16 @@ let check_consecution (net : Network.t) (mask : Reference.mask) entries index =
       (* discrete successors *)
       List.iter
         (fun (j : Reference.joint) ->
-          (* a transition whose guards already contradict the invariants
-             (or each other) at this discrete state can never fire from
-             any covered valuation: no obligations *)
+          (* a transition whose guards already contradict the invariants,
+             the validated clock merges or each other at this discrete
+             state can never fire from any real valuation: no
+             obligations *)
           let zfire = Reference.inv_zone net mask st in
+          List.iter
+            (fun (m, r) ->
+              Dbm.constrain zfire m r (Ita_dbm.Bound.le 0);
+              Dbm.constrain zfire r m (Ita_dbm.Bound.le 0))
+            merged;
           List.iter
             (fun (i, ei) ->
               let ed = Automaton.edge net.Network.automata.(i) ei in
@@ -901,6 +947,7 @@ let check (net : Network.t) ~(goal : goal) (q : query_cert) :
   try
     let mask = mask_of_query net q in
     validate_mask net mask;
+    validate_merges net mask q.merged;
     validate_goal net mask goal;
     match q.verdict with
     | Reachable labels ->
@@ -917,6 +964,6 @@ let check (net : Network.t) ~(goal : goal) (q : query_cert) :
         | Sup { clock; value; kind } ->
             check_sup_judgment net mask goal ~clock ~value ~kind q.entries
         | Reachable _ -> assert false);
-        let zones = check_consecution net mask q.entries index in
+        let zones = check_consecution net mask q.merged q.entries index in
         Ok { checked_states = List.length q.entries; checked_zones = zones }
   with Fail f -> Error f

@@ -57,8 +57,10 @@ type query_cert = {
   frozen_vars : int list;
   merged : (int * int) list;
       (** (merged, representative) clock pairs recorded by quasi-equal
-          merging; diagnostic only — merged clocks stay in the model
-          and need no special checker treatment. *)
+          merging.  Merged clocks stay in the model; the checker
+          validates that every unmasked edge resets both or neither,
+          to the same constant, and then treats them as equal when it
+          decides which transitions can fire at all. *)
   entries : entry list;
 }
 

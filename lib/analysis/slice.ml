@@ -236,9 +236,18 @@ let make ?(mode = CoiMerge) ?fa (net : Network.t) (goal : goal) =
       for ci = 0 to nc - 1 do
         if keep.(ci) then begin
           let a = auto ci in
+          (* a flow-unreachable location's invariant is dropped, yet
+             its clocks stay: the certificate checker cannot see flow
+             reachability and rejects a removed clock any invariant
+             tests.  Nothing else tests such a clock, so it stays
+             inactive — pinned to 0, it costs no zones *)
           Array.iteri
             (fun li (l : Automaton.location) ->
-              if reachable ci li then mark_guard l.Automaton.invariant)
+              if reachable ci li then mark_guard l.Automaton.invariant
+              else
+                List.iter
+                  (fun (at : Guard.atom) -> mark_clock at.Guard.clock)
+                  l.Automaton.invariant.Guard.clocks)
             a.Automaton.locations;
           Array.iteri
             (fun ei (e : Automaton.edge) ->
@@ -305,10 +314,12 @@ let make ?(mode = CoiMerge) ?fa (net : Network.t) (goal : goal) =
           (auto ci).Automaton.edges
     done;
     (* Quasi-equal clock detection (CoiMerge): group the kept, unpinned
-       clocks by their reset signature over every kept live edge — the
-       Int constant reset there, or nothing.  Clocks sharing a
-       signature are equal in every reachable valuation (all start at
-       0), so each class collapses onto its smallest member. *)
+       clocks by their reset signature over every edge of a kept
+       component — the Int constant reset there, or nothing.  Clocks
+       sharing a signature are equal in every reachable valuation (all
+       start at 0), so each class collapses onto its smallest member.
+       Dead edges count too: the certificate checker validates merges
+       without the flow analysis. *)
     let merged_into = Array.make ncl (-1) in
     if mode = CoiMerge then begin
       let candidate = Array.make ncl false in
@@ -318,22 +329,20 @@ let make ?(mode = CoiMerge) ?fa (net : Network.t) (goal : goal) =
       let signature = Array.make ncl [] in
       for ci = 0 to nc - 1 do
         if keep.(ci) then
-          Array.iteri
-            (fun ei (e : Automaton.edge) ->
-              if live ci ei then begin
-                let consts = Hashtbl.create 4 in
-                List.iter
-                  (function
-                    | Update.Reset_clock (x, Expr.Int c) when c >= 0 ->
-                        Hashtbl.replace consts x c
-                    | Update.Reset_clock (x, _) -> candidate.(x) <- false
-                    | Update.Set_var _ -> ())
-                  e.Automaton.update;
-                for x = 1 to ncl - 1 do
-                  if candidate.(x) then
-                    signature.(x) <- Hashtbl.find_opt consts x :: signature.(x)
-                done
-              end)
+          Array.iter
+            (fun (e : Automaton.edge) ->
+              let consts = Hashtbl.create 4 in
+              List.iter
+                (function
+                  | Update.Reset_clock (x, Expr.Int c) when c >= 0 ->
+                      Hashtbl.replace consts x c
+                  | Update.Reset_clock (x, _) -> candidate.(x) <- false
+                  | Update.Set_var _ -> ())
+                e.Automaton.update;
+              for x = 1 to ncl - 1 do
+                if candidate.(x) then
+                  signature.(x) <- Hashtbl.find_opt consts x :: signature.(x)
+              done)
             (auto ci).Automaton.edges
       done;
       let groups = Hashtbl.create 8 in

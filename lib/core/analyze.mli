@@ -62,6 +62,9 @@ val wcrt :
     offline validation can pick it up.  Both only apply to the
     [Exhaustive] method — bounds from incomplete searches carry no
     invariant to certify.
+
+    [?reduction] and [?bounds] are ignored, as by {!Ita_mc.Wcrt.sup};
+    they stay only so the repository benchmark compiles unchanged.
     @raise Not_found on unknown scenario/requirement names. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
@@ -82,8 +85,6 @@ val check_budgets :
   ?method_:method_ ->
   ?order:Ita_mc.Reach.order ->
   ?abstraction:Reach.abstraction ->
-  ?reduction:Reach.reduction ->
-  ?bounds:Reach.bounds ->
   ?domains:int ->
   ?slicing:Reach.slicing ->
   Sysmodel.t ->

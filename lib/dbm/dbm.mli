@@ -77,11 +77,13 @@ val of_encoded : int -> int array -> t
     mismatch. *)
 
 val extrapolate : t -> int array -> unit
-(** [extrapolate z k] applies classical maximal-constant abstraction
-    (ExtraM): bounds larger than [k.(i)] become [+oo] and lower bounds
-    beyond [-k.(j)] are relaxed to [< -k.(j)].  [k.(0)] must be [0].
-    Sound for diagonal-free timed automata; the result is
-    re-canonicalized. *)
+(** [extrapolate z k] applies classical maximal-constant abstraction:
+    bounds larger than [k.(i)] become [+oo] and lower bounds beyond
+    [-k.(j)] are relaxed to [< -k.(j)].  [k.(0)] must be [0].  Sound
+    for diagonal-free timed automata; the result is re-canonicalized.
+    No exploration uses it; it is the reference the tests check
+    {!extrapolate_lu} against (with [L = U = k], Extra+LU yields a
+    superset). *)
 
 val extrapolate_lu : t -> int array -> int array -> unit
 (** [extrapolate_lu z l u] applies Extra+LU — the coarser abstraction

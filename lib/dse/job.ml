@@ -85,9 +85,8 @@ let run_mc spec =
   in
   match
     Wcrt.sup ~budget ~abstraction:spec.budget.mc_abstraction
-      ~bounds:spec.budget.mc_bounds ?domains:spec.budget.mc_domains
-      ~slicing:spec.budget.mc_slicing ?snap gen.Gen.net ~at:obs.Gen.seen
-      ~clock:obs.Gen.obs_clock
+      ?domains:spec.budget.mc_domains ~slicing:spec.budget.mc_slicing ?snap
+      gen.Gen.net ~at:obs.Gen.seen ~clock:obs.Gen.obs_clock
   with
   | Wcrt.Sup { value; kind; stats } -> (
       (* a certified mc cell: re-validate the exact verdict with the

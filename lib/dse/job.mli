@@ -22,7 +22,9 @@ type budget = {
   mc_abstraction : Ita_mc.Reach.abstraction;
       (** zone abstraction for the exploration *)
   mc_bounds : Ita_mc.Reach.bounds;
-      (** extrapolation-bound source (flow-refined or static) *)
+      (** always [Flow] (see {!Ita_mc.Reach.bounds}); kept only so the
+          repository benchmark compiles unchanged.  Not part of the
+          cache key. *)
   mc_domains : int option;
       (** worker domains inside one exploration ([None]: the engine
           default, {!Ita_mc.Reach.default_domains}).  Sweeps running

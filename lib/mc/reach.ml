@@ -21,9 +21,9 @@ let combine a b =
     max_seconds = tighter min a.max_seconds b.max_seconds;
   }
 
-type abstraction = Semantics.abstraction = ExtraM | ExtraLU | LuSim
-type reduction = Semantics.reduction = None | Active
-type bounds = Static | Flow
+type abstraction = Semantics.abstraction = ExtraLU | LuSim
+type reduction = Semantics.reduction = Active
+type bounds = Flow
 
 module Slice = Ita_analysis.Slice
 
@@ -56,22 +56,29 @@ type outcome =
 let parse_domains s =
   match int_of_string_opt (String.trim s) with
   | Some n when n >= 1 -> Ok n
-  | Some _ | Option.None ->
-      Error "expected a positive integer"
+  | Some _ | None -> Error "expected a positive integer"
 
-let parse_abstraction s =
-  match String.lowercase_ascii (String.trim s) with
-  | "extram" -> Ok ExtraM
-  | "extralu" -> Ok ExtraLU
-  | "lusim" -> Ok LuSim
-  | _ -> Error "valid values: extram, extralu, lusim"
+(* One name per knob position: the parsers below accept exactly these
+   (case-insensitively), and the CLIs and the DSE cache key print them. *)
+let order_name = function Bfs -> "bfs" | Dfs -> "dfs" | Random_dfs _ -> "rdfs"
+let abstraction_name = function ExtraLU -> "extralu" | LuSim -> "lusim"
 
-let parse_slicing s =
-  match String.lowercase_ascii (String.trim s) with
-  | "off" -> Ok Off
-  | "coi" -> Ok Coi
-  | "coimerge" -> Ok CoiMerge
-  | _ -> Error "valid values: off, coi, coimerge"
+let slicing_name = function
+  | Off -> "off"
+  | Coi -> "coi"
+  | CoiMerge -> "coimerge"
+
+let parse_named name values s =
+  let key = String.lowercase_ascii (String.trim s) in
+  match List.find_opt (fun v -> name v = key) values with
+  | Some v -> Ok v
+  | None ->
+      Error ("valid values: " ^ String.concat ", " (List.map name values))
+
+(* [rdfs] carries seed 1; ranav threads its [--seed] in afterwards *)
+let parse_order = parse_named order_name [ Bfs; Dfs; Random_dfs 1 ]
+let parse_abstraction = parse_named abstraction_name [ ExtraLU; LuSim ]
+let parse_slicing = parse_named slicing_name [ Off; Coi; CoiMerge ]
 
 let warn_env var value err fallback =
   Printf.eprintf "tamc: warning: %s=%S ignored (%s); using %s\n%!" var value
@@ -79,7 +86,7 @@ let warn_env var value err fallback =
 
 let env_knob var parse fallback_desc default =
   match Sys.getenv_opt var with
-  | Option.None -> default ()
+  | None -> default ()
   | Some s when String.trim s = "" -> default ()
   | Some s -> (
       match parse s with
@@ -204,7 +211,7 @@ let dead_slot = { zone = Dbm.zero 0; pruned = true }
    [lu] is the per-state L/U bound pair when the antichain order is the
    a◁LU simulation ([LuSim]) — every zone filed under this entry shares
    the discrete state, hence the L/U vectors, so they are resolved once
-   at entry creation and [Option.None] means plain DBM inclusion. *)
+   at entry creation and [None] means plain DBM inclusion. *)
 type entry = {
   canon : Semantics.state;
   mutable slots : slot array;
@@ -224,7 +231,7 @@ let entry_of lu_of passed key (st : Semantics.state) =
    simulation subsumption on the unextrapolated zones. *)
 let zle e (z : Dbm.t) (z' : Dbm.t) =
   match e.lu with
-  | Option.None -> Dbm.subset z z'
+  | None -> Dbm.subset z z'
   | Some (l, u) -> Dbm.le_lu l u z z'
 
 let subsumed_in e (z : Dbm.t) =
@@ -302,7 +309,7 @@ module Deque = struct
   let create () =
     {
       lock = Mutex.create ();
-      buf = Array.make 64 Option.None;
+      buf = Array.make 64 None;
       head = 0;
       len = 0;
     }
@@ -311,7 +318,7 @@ module Deque = struct
     Mutex.lock t.lock;
     let cap = Array.length t.buf in
     if t.len = cap then begin
-      let buf = Array.make (2 * cap) Option.None in
+      let buf = Array.make (2 * cap) None in
       for i = 0 to t.len - 1 do
         buf.(i) <- t.buf.((t.head + i) mod cap)
       done;
@@ -325,11 +332,11 @@ module Deque = struct
   let take_newest t =
     Mutex.lock t.lock;
     let r =
-      if t.len = 0 then Option.None
+      if t.len = 0 then None
       else begin
         let i = (t.head + t.len - 1) mod Array.length t.buf in
         let x = t.buf.(i) in
-        t.buf.(i) <- Option.None;
+        t.buf.(i) <- None;
         t.len <- t.len - 1;
         x
       end
@@ -340,10 +347,10 @@ module Deque = struct
   let take_oldest t =
     Mutex.lock t.lock;
     let r =
-      if t.len = 0 then Option.None
+      if t.len = 0 then None
       else begin
         let x = t.buf.(t.head) in
-        t.buf.(t.head) <- Option.None;
+        t.buf.(t.head) <- None;
         t.head <- (t.head + 1) mod Array.length t.buf;
         t.len <- t.len - 1;
         x
@@ -376,7 +383,7 @@ let n_shards = 64
 let witness n =
   let rec go n acc =
     match n with
-    | Option.None -> acc
+    | None -> acc
     | Some p ->
         go p.parent ({ via = p.via; state = p.config.Semantics.state } :: acc)
   in
@@ -411,8 +418,8 @@ let witness n =
    count.  [explored]/[transitions] are schedule-dependent beyond one
    domain (two domains may both expand a zone that one of them later
    prunes) and are reported as observed. *)
-let run_engine ~order ~budget ~abstraction ~reduction ~lu_of ~domains net
-    ~ranges ~goal ~on_store =
+let run_engine ~order ~budget ~abstraction ~lu_of ~domains net ~ranges ~goal
+    ~on_store =
   let t0 = Unix.gettimeofday () in
   let pack = make_packer net ranges in
   let shards =
@@ -429,7 +436,7 @@ let run_engine ~order ~budget ~abstraction ~reduction ~lu_of ~domains net
     | Bfs -> Deque.take_oldest
     | Dfs | Random_dfs _ -> Deque.take_newest
   in
-  let stop : stop option Atomic.t = Atomic.make Option.None in
+  let stop : stop option Atomic.t = Atomic.make None in
   let pending = Atomic.make 0 in
   let explored = Atomic.make 0 in
   let transitions = Array.make domains 0 in
@@ -439,7 +446,7 @@ let run_engine ~order ~budget ~abstraction ~reduction ~lu_of ~domains net
      deadlock probes) stay race-free without changing their API *)
   let cb_lock = Mutex.create () in
   let halt r =
-    ignore (Atomic.compare_and_set stop Option.None (Some r));
+    ignore (Atomic.compare_and_set stop None (Some r));
     raise Halt
   in
   let over_budget e =
@@ -459,7 +466,7 @@ let run_engine ~order ~budget ~abstraction ~reduction ~lu_of ~domains net
         let e = entry_of lu_of sh.s_table key c.Semantics.state in
         if subsumed_in e c.Semantics.zone then begin
           Mutex.unlock sh.s_lock;
-          if e.lu <> Option.None then lusim.(w) <- lusim.(w) + 1
+          if e.lu <> None then lusim.(w) <- lusim.(w) + 1
         end
         else begin
           (* intern the discrete state: revisits of this entry now share
@@ -485,8 +492,7 @@ let run_engine ~order ~budget ~abstraction ~reduction ~lu_of ~domains net
       let e = 1 + Atomic.fetch_and_add explored 1 in
       if over_budget e then halt Budget;
       let succs =
-        Array.of_list
-          (Semantics.successors ~abstraction ~reduction net n.config)
+        Array.of_list (Semantics.successors ~abstraction net n.config)
       in
       (match rng with Some g -> Prng.shuffle g succs | None -> ());
       Array.iter
@@ -500,18 +506,18 @@ let run_engine ~order ~budget ~abstraction ~reduction ~lu_of ~domains net
     let rng =
       match order with
       | Random_dfs seed -> Some (Prng.create (seed + (31 * w)))
-      | Bfs | Dfs -> Option.None
+      | Bfs | Dfs -> None
     in
     try
       let rec next () =
-        if Atomic.get stop <> Option.None then Option.None
+        if Atomic.get stop <> None then None
         else
           match take_own deques.(w) with
           | Some _ as r -> r
           | None -> (
-              let stolen = ref Option.None in
+              let stolen = ref None in
               let i = ref 1 in
-              while !stolen = Option.None && !i < domains do
+              while !stolen = None && !i < domains do
                 (match Deque.take_oldest deques.((w + !i) mod domains) with
                 | Some _ as r ->
                     steals.(w) <- steals.(w) + 1;
@@ -522,7 +528,7 @@ let run_engine ~order ~budget ~abstraction ~reduction ~lu_of ~domains net
               match !stolen with
               | Some _ as r -> r
               | None ->
-                  if Atomic.get pending = 0 then Option.None
+                  if Atomic.get pending = 0 then None
                   else begin
                     Domain.cpu_relax ();
                     next ()
@@ -545,13 +551,12 @@ let run_engine ~order ~budget ~abstraction ~reduction ~lu_of ~domains net
     | ex ->
         let bt = Printexc.get_raw_backtrace () in
         ignore
-          (Atomic.compare_and_set stop Option.None (Some (Crashed (ex, bt))))
+          (Atomic.compare_and_set stop None (Some (Crashed (ex, bt))))
   in
   (try
-     add 0 Option.None Option.None
-       (Semantics.initial ~abstraction ~reduction net)
+     add 0 None None (Semantics.initial ~abstraction net)
    with Halt -> ());
-  if Atomic.get stop = Option.None then begin
+  if Atomic.get stop = None then begin
     let doms =
       Array.init (domains - 1) (fun i -> Domain.spawn (worker (i + 1)))
     in
@@ -596,8 +601,8 @@ type snapshot = {
    counterexamples are found as early as possible (UPPAAL does the
    same).  Returns the result, the passed-list dump thunk and the
    network as explored (after flow refinement). *)
-let run ?(order = Bfs) ?(budget = no_budget) ?abstraction
-    ?(reduction = Active) ?(bounds = Flow) ?domains net ~goal ~on_store () =
+let run ?(order = Bfs) ?(budget = no_budget) ?abstraction ?domains net ~goal
+    ~on_store () =
   let abstraction =
     match abstraction with Some a -> a | None -> default_abstraction ()
   in
@@ -606,29 +611,23 @@ let run ?(order = Bfs) ?(budget = no_budget) ?abstraction
   in
   (* the dataflow analysis tightens the per-location L/U clock bounds
      (read by [Semantics.extrapolate]) and shrinks the variable ranges
-     the packed state key allots bits to; [Static] keeps the builder's
-     one-shot bounds and the declared ranges as a differential oracle *)
-  let net, ranges =
-    match bounds with
-    | Static -> (net, net.Network.var_ranges)
-    | Flow ->
-        let fa = Ita_analysis.Flow.analyze net in
-        ( Ita_analysis.Flow.refine_lu fa net,
-          Ita_analysis.Flow.global_ranges fa )
-  in
+     the packed state key allots bits to *)
+  let fa = Ita_analysis.Flow.analyze net in
+  let net = Ita_analysis.Flow.refine_lu fa net in
+  let ranges = Ita_analysis.Flow.global_ranges fa in
   (* Under [LuSim] the antichains order zones by a◁LU simulation over
-     the per-state L/U constants — resolved against the (possibly
-     flow-refined) [net] above, so the subsumption test and the
-     [ExtraLU] extrapolation always read the same bounds *)
+     the per-state L/U constants — resolved against the flow-refined
+     [net] above, so the subsumption test and the [ExtraLU]
+     extrapolation always read the same bounds *)
   let lu_of =
     match abstraction with
     | LuSim ->
         fun (st : Semantics.state) -> Some (Semantics.lu_bounds net st)
-    | ExtraM | ExtraLU -> fun _ -> Option.None
+    | ExtraLU -> fun _ -> None
   in
   let result, dump =
-    run_engine ~order ~budget ~abstraction ~reduction ~lu_of ~domains net
-      ~ranges ~goal ~on_store
+    run_engine ~order ~budget ~abstraction ~lu_of ~domains net ~ranges ~goal
+      ~on_store
   in
   (result, dump, net)
 
@@ -660,17 +659,17 @@ let slice_query mode ?(extra_clocks = []) net (q : Query.t) =
             (fun (ci, li) ->
               match Slice.map_comp sl ci with
               | Some ci' -> (ci', li)
-              | Option.None -> assert false (* goal components are kept *))
+              | None -> assert false (* goal components are kept *))
             q.Query.comp_locs;
         guard = Slice.map_guard sl q.Query.guard;
       }
   in
   (sl, sl.Slice.net, q')
 
-let reach ?order ?budget ?abstraction ?reduction ?bounds ?domains ?slicing
-    ?snap net (q : Query.t) =
+let reach ?order ?budget ?abstraction ?domains ?slicing ?snap net
+    (q : Query.t) =
   let mode =
-    match slicing with Some s -> s | Option.None -> default_slicing ()
+    match slicing with Some s -> s | None -> default_slicing ()
   in
   let sl, net, q = slice_query mode net q in
   let net =
@@ -684,7 +683,7 @@ let reach ?order ?budget ?abstraction ?reduction ?bounds ?domains ?slicing
   in
   match
     Slice.unmap_errors sl
-      (run ?order ?budget ?abstraction ?reduction ?bounds ?domains net ~goal
+      (run ?order ?budget ?abstraction ?domains net ~goal
          ~on_store:(fun _ -> ()))
   with
   | Goal_found (witness, gz, stats), _, _ ->
@@ -704,40 +703,40 @@ let reach ?order ?budget ?abstraction ?reduction ?bounds ?domains ?slicing
       (match snap with
       | Some f ->
           f { snap_slice = sl; snap_net = xnet; snap_passed = dump () }
-      | Option.None -> ());
+      | None -> ());
       Unreachable stats
   | Out_of_budget stats, _, _ -> Budget_exhausted stats
 
-let explore ?order ?budget ?abstraction ?reduction ?bounds ?domains
-    ?(extra_bounds = []) ?snap net ~on_store =
+let explore ?order ?budget ?abstraction ?domains ?(extra_bounds = []) ?snap
+    net ~on_store =
   let net =
     List.fold_left
       (fun net (x, c) -> Network.bump_clock_bound net x c)
       net extra_bounds
   in
   match
-    run ?order ?budget ?abstraction ?reduction ?bounds ?domains net
-      ~goal:(fun _ -> Option.None)
+    run ?order ?budget ?abstraction ?domains net
+      ~goal:(fun _ -> None)
       ~on_store ()
   with
   | Goal_found _, _, _ -> assert false
   | Space_exhausted stats, dump, xnet ->
       (match snap with
       | Some f -> f (xnet, dump ())
-      | Option.None -> ());
+      | None -> ());
       `Complete stats
   | Out_of_budget stats, _, _ -> `Budget_exhausted stats
 
-let explore_passed ?order ?budget ?abstraction ?reduction ?bounds ?domains
-    ?(extra_bounds = []) net =
+let explore_passed ?order ?budget ?abstraction ?domains ?(extra_bounds = [])
+    net =
   let net =
     List.fold_left
       (fun net (x, c) -> Network.bump_clock_bound net x c)
       net extra_bounds
   in
   match
-    run ?order ?budget ?abstraction ?reduction ?bounds ?domains net
-      ~goal:(fun _ -> Option.None)
+    run ?order ?budget ?abstraction ?domains net
+      ~goal:(fun _ -> None)
       ~on_store:(fun _ -> ())
       ()
   with

@@ -12,35 +12,33 @@ open Ita_ta
 
 type order = Bfs | Dfs | Random_dfs of int  (** seed *)
 
-type abstraction = Semantics.abstraction = ExtraM | ExtraLU | LuSim
+type abstraction = Semantics.abstraction = ExtraLU | LuSim
     (** Finite abstraction applied to zones (see {!Semantics.abstraction}).
         The default everywhere is {!default_abstraction} (normally
-        [ExtraLU]); [ExtraM] is kept as a differential-testing oracle
-        and for exact goal-zone bounds.  Under [LuSim] zones are stored
-        unextrapolated and the passed-list antichains subsume with the
-        a◁LU simulation test ({!Ita_dbm.Dbm.le_lu}) over the same
-        (flow-refined when [bounds = Flow]) per-state L/U constants the
-        [ExtraLU] extrapolation reads — strictly coarser pruning,
-        identical verdicts and WCRTs, exact goal zones and witness
-        traces. *)
+        [ExtraLU]).  Under [LuSim] zones are stored unextrapolated and
+        the passed-list antichains subsume with the a◁LU simulation
+        test ({!Ita_dbm.Dbm.le_lu}) over the same flow-refined
+        per-state L/U constants the [ExtraLU] extrapolation reads —
+        strictly coarser pruning, identical verdicts and WCRTs, exact
+        goal zones and witness traces. *)
 
-type reduction = Semantics.reduction = None | Active
-    (** Active-clock reduction (see {!Semantics.reduction}).  The
-        default everywhere is [Active]; [None] is kept as a
-        differential-testing oracle and for state-space measurements
-        of the reduction itself. *)
+type reduction = Semantics.reduction = Active
+    (** Active-clock reduction, always applied (see
+        {!Semantics.reduction}).  Kept, like {!bounds}, only so the
+        repository benchmark ([perfbench/]) compiles unchanged until it
+        moves to one engine configuration record. *)
 
-type bounds = Static | Flow
+type bounds = Flow
     (** Source of the per-location L/U extrapolation bounds and of the
-        variable ranges behind the packed passed-list key.  [Flow]
-        (the default everywhere) runs the abstract-interpretation
-        dataflow analysis ({!Ita_analysis.Flow}) first: clock bounds
-        are recomputed over the live control flow with guard constants
+        variable ranges behind the packed passed-list key: every
+        exploration first runs the abstract-interpretation dataflow
+        analysis ({!Ita_analysis.Flow}), which recomputes the clock
+        bounds over the live control flow with guard constants
         evaluated under the inferred intervals (never looser than the
-        builder's), and each variable is packed into exactly its
-        inferred range.  [Static] keeps the builder's one-shot bounds
-        and the declared ranges — the differential-testing oracle and
-        the "flow off" column of the benchmark. *)
+        builder's), and packs each variable into exactly its inferred
+        range.  The one-constructor type is kept only so the
+        repository benchmark ([perfbench/]) compiles unchanged until it
+        moves to one engine configuration record. *)
 
 type slicing = Ita_analysis.Slice.mode = Off | Coi | CoiMerge
     (** Query-directed model reduction applied before exploration (see
@@ -59,12 +57,23 @@ val parse_domains : string -> (int, string) result
     CLI converters print. *)
 
 val parse_abstraction : string -> (abstraction, string) result
-(** Parse a [TAMC_ABSTRACTION]-style value ([extram] / [extralu] /
-    [lusim], case-insensitive). *)
+(** Parse a [TAMC_ABSTRACTION]-style value ([extralu] / [lusim],
+    case-insensitive). *)
 
 val parse_slicing : string -> (slicing, string) result
 (** Parse a [TAMC_SLICING]-style value ([off] / [coi] / [coimerge],
     case-insensitive). *)
+
+val parse_order : string -> (order, string) result
+(** Parse a search order ([bfs] / [dfs] / [rdfs], case-insensitive);
+    [rdfs] yields [Random_dfs 1]. *)
+
+val order_name : order -> string
+val abstraction_name : abstraction -> string
+
+val slicing_name : slicing -> string
+(** The names the parsers accept, lower case: what the CLIs print and
+    the DSE cache key records. *)
 
 val default_domains : unit -> int
 (** Worker-domain count used when a caller passes no [?domains]: the
@@ -76,8 +85,8 @@ val default_domains : unit -> int
 
 val default_abstraction : unit -> abstraction
 (** Abstraction used when a caller passes no [?abstraction]: the
-    [TAMC_ABSTRACTION] environment variable ([extram] / [extralu] /
-    [lusim], so CI can force the whole suite through any abstraction),
+    [TAMC_ABSTRACTION] environment variable ([extralu] / [lusim], so CI
+    can force the whole suite through either abstraction),
     else [ExtraLU].  Unrecognised values fall back to [ExtraLU] after
     a one-line stderr warning naming the valid values. *)
 
@@ -120,7 +129,7 @@ type stats = {
   stored : int;
       (** zones resident in the passed list at the end — zones pruned
           by antichain subsumption are not counted.  Under subset
-          subsumption ([ExtraM]/[ExtraLU]) deterministic at any domain
+          subsumption ([ExtraLU]) deterministic at any domain
           count for complete explorations: the subsumption probe and
           insert are atomic per shard, so concurrent comparable inserts
           can never double-count.  Under [LuSim] the simulation
@@ -171,8 +180,6 @@ val reach :
   ?order:order ->
   ?budget:budget ->
   ?abstraction:abstraction ->
-  ?reduction:reduction ->
-  ?bounds:bounds ->
   ?domains:int ->
   ?slicing:slicing ->
   ?snap:(snapshot -> unit) ->
@@ -183,7 +190,7 @@ val reach :
     constants, so checking [y >= C] is sound for any [C].  Under the
     default [ExtraLU] the returned goal zone may be coarser than the
     exact reachable valuations (verdicts are unaffected); pass
-    [~abstraction:ExtraM] when tight goal-zone bounds matter.
+    [~abstraction:LuSim] when tight goal-zone bounds matter.
 
     [?slicing] (default {!default_slicing}) reduces the network to the
     query's cone of influence first; the verdict is unaffected.
@@ -220,8 +227,6 @@ val explore :
   ?order:order ->
   ?budget:budget ->
   ?abstraction:abstraction ->
-  ?reduction:reduction ->
-  ?bounds:bounds ->
   ?domains:int ->
   ?extra_bounds:(Guard.clock * int) list ->
   ?snap:(Network.t * (Semantics.state * Semantics.Dbm.t list) list -> unit) ->
@@ -242,8 +247,6 @@ val explore_passed :
   ?order:order ->
   ?budget:budget ->
   ?abstraction:abstraction ->
-  ?reduction:reduction ->
-  ?bounds:bounds ->
   ?domains:int ->
   ?extra_bounds:(Guard.clock * int) list ->
   Network.t ->
@@ -253,7 +256,7 @@ val explore_passed :
     discrete state, the antichain of maximal zones stored for it.
     Entries are sorted by discrete state and each antichain by
     {!Ita_dbm.Dbm.compare}, so under subset subsumption
-    ([ExtraM]/[ExtraLU]) a complete exploration's output is
+    ([ExtraLU]) a complete exploration's output is
     byte-identical at any domain count.  Under [LuSim] contents are
     only canonical up to mutual a◁LU simulation (see {!stats.stored});
     the test layer checks two-way simulation coverage instead. *)

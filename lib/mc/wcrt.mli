@@ -59,7 +59,11 @@ val sup :
 
     [?snap] fires exactly when the result is [Sup], with the final
     (below-ceiling) attempt's {!Reach.snapshot} for certificate
-    emission. *)
+    emission.
+
+    [?reduction] and [?bounds] are ignored: their types have one
+    constructor each (see {!Reach.bounds}) and they stay only so the
+    repository benchmark compiles unchanged. *)
 
 type search_result = {
   lower : int option;  (** largest [C] with [goal && clock >= C] reachable *)
@@ -73,8 +77,6 @@ val binary_search :
   ?order:Reach.order ->
   ?budget:Reach.budget ->
   ?abstraction:Reach.abstraction ->
-  ?reduction:Reach.reduction ->
-  ?bounds:Reach.bounds ->
   ?domains:int ->
   ?slicing:Reach.slicing ->
   ?hi:int ->
@@ -89,8 +91,6 @@ val binary_search :
 val probe_lower :
   ?order:Reach.order ->
   ?abstraction:Reach.abstraction ->
-  ?reduction:Reach.reduction ->
-  ?bounds:Reach.bounds ->
   ?domains:int ->
   ?slicing:Reach.slicing ->
   Network.t ->

@@ -5,7 +5,6 @@ type t = {
   var_ranges : (int * int) array;
   var_init : int array;
   channels : Channel.t array;
-  k : int array;
   lbase : int array;
   ubase : int array;
   lloc : int array array array;
@@ -29,14 +28,12 @@ let check_constant clock_names x c =
 
 let bump_clock_bound net x c =
   check_constant net.clock_names x c;
-  let k = Array.copy net.k in
-  k.(x) <- max k.(x) c;
   let lbase = Array.copy net.lbase and ubase = Array.copy net.ubase in
   lbase.(x) <- max lbase.(x) c;
   ubase.(x) <- max ubase.(x) c;
   let pinned = Array.copy net.pinned in
   pinned.(x) <- true;
-  { net with k; lbase; ubase; pinned }
+  { net with lbase; ubase; pinned }
 
 let index_of name arr =
   let found = ref (-1) in
@@ -118,34 +115,6 @@ module Builder = struct
     let channels = Array.of_list (List.rev b.chans) in
     let automata = Array.of_list (List.rev b.autos) in
     if validate then Array.iter (validate_sync ~channels) automata;
-    (* Maximal constants per clock, over all guards, invariants and
-       clock-reset values. *)
-    let k = Array.make (Array.length clock_names) 0 in
-    let scan_guard g =
-      for x = 1 to Array.length clock_names - 1 do
-        k.(x) <- max k.(x) (Guard.max_constant var_ranges g x)
-      done
-    in
-    let scan_update (u : Update.t) =
-      let scan_assign = function
-        | Update.Reset_clock (x, e) ->
-            let lo, hi = Expr.interval var_ranges e in
-            k.(x) <- max k.(x) (max (abs lo) (abs hi))
-        | Update.Set_var _ -> ()
-      in
-      List.iter scan_assign u
-    in
-    let scan_automaton (a : Automaton.t) =
-      Array.iter (fun (l : Automaton.location) -> scan_guard l.invariant)
-        a.locations;
-      Array.iter
-        (fun (e : Automaton.edge) ->
-          scan_guard e.guard;
-          scan_update e.update)
-        a.edges
-    in
-    Array.iter scan_automaton automata;
-    Array.iteri (check_constant clock_names) k;
     (* Location-based clock activity (Daws-Yovine): backward fixpoint
        per automaton.  active(l) = tested(l) + union over outgoing
        edges e of (tested-by-guard(e) + (active(dst e) minus resets
@@ -197,10 +166,9 @@ module Builder = struct
        constant the clock can still be compared against before its next
        reset along that component.  Lower-bound atoms ([x >(=) c]) feed
        L, upper-bound atoms and invariants feed U, [==] feeds both;
-       reset magnitudes are kept in both, matching the classical [k]
-       scan.  Per-state bounds are the max over components, which is
-       sound for networks (any future guard is some component's future
-       guard). *)
+       reset magnitudes are kept in both.  Per-state bounds are the max
+       over components, which is sound for networks (any future guard is
+       some component's future guard). *)
     let reset_magnitudes (upd : Update.t) =
       List.filter_map
         (function
@@ -276,6 +244,15 @@ module Builder = struct
       else (l, u)
     in
     let lu = Array.map lu_of automata in
+    (* every guard, invariant and reset constant of a clock lands in
+       some location's L or U row, so the row maxima bound them all *)
+    let row_max x m rows =
+      Array.fold_left (fun m row -> max m row.(x)) m rows
+    in
+    for x = 1 to n_clocks - 1 do
+      check_constant clock_names x
+        (Array.fold_left (fun m (l, u) -> row_max x (row_max x m l) u) 0 lu)
+    done;
     {
       automata;
       clock_names;
@@ -283,7 +260,6 @@ module Builder = struct
       var_ranges;
       var_init;
       channels;
-      k;
       lbase = Array.make n_clocks 0;
       ubase = Array.make n_clocks 0;
       lloc = Array.map fst lu;

@@ -23,7 +23,6 @@ type t = {
   var_ranges : (int * int) array;
   var_init : int array;
   channels : Channel.t array;
-  k : int array;  (** classical (ExtraM) extrapolation constants, [k.(0) = 0] *)
   lbase : int array;
       (** per-clock global floor of the lower-bound constants L; query
           constants registered with {!bump_clock_bound} land here *)
@@ -55,9 +54,8 @@ val n_components : t -> int
 
 val bump_clock_bound : t -> Guard.clock -> int -> t
 (** [bump_clock_bound net x c] returns a network whose extrapolation
-    constants for [x] (classical [k] and both LU floors) are at least
-    [c] and which pins [x] as always active (queries observe it);
-    shares everything else.
+    constants for [x] (both LU floors) are at least [c] and which pins
+    [x] as always active (queries observe it); shares everything else.
     @raise Invalid_model when [c] exceeds {!Ita_dbm.Bound.max_constant}. *)
 
 val component_index : t -> string -> int

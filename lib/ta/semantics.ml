@@ -2,8 +2,8 @@ module Dbm = Ita_dbm.Dbm
 
 type state = { locs : int array; env : int array }
 type config = { state : state; zone : Dbm.t }
-type abstraction = ExtraM | ExtraLU | LuSim
-type reduction = None | Active
+type abstraction = ExtraLU | LuSim
+type reduction = Active
 
 type label =
   | Internal of { comp : int; edge : int }
@@ -123,35 +123,35 @@ let lu_bounds (net : Network.t) st =
    list subsuming with {!Dbm.le_lu} instead. *)
 let extrapolate (net : Network.t) abstraction st z =
   match abstraction with
-  | ExtraM -> Dbm.extrapolate z net.Network.k
   | ExtraLU ->
       let l, u = lu_bounds net st in
       Dbm.extrapolate_lu z l u
   | LuSim -> ()
 
 (* Delay-close [z] in discrete state [st]: up, then invariants, then
-   extrapolation.  [z] must already satisfy the invariants. *)
-let delay_close net abstraction reduction st z =
+   extrapolation and active-clock reduction.  [z] must already satisfy
+   the invariants. *)
+let delay_close net abstraction st z =
   if delay_allowed net st then begin
     Dbm.up z;
     apply_invariants net st z
   end;
   extrapolate net abstraction st z;
-  match reduction with None -> () | Active -> normalize_inactive net st z
+  normalize_inactive net st z
 
-let initial ?(abstraction = ExtraLU) ?(reduction = Active) (net : Network.t) =
+let initial ?(abstraction = ExtraLU) (net : Network.t) =
   let locs = Array.map (fun (a : Automaton.t) -> a.initial) net.automata in
   let env = Array.copy net.var_init in
   let st = { locs; env } in
   let z = Dbm.zero (Network.n_clocks net) in
   apply_invariants net st z;
-  delay_close net abstraction reduction st z;
+  delay_close net abstraction st z;
   { state = st; zone = z }
 
 (* One discrete step: [parts] is the ordered list of participating
    (component, edge) pairs, the sender first.  Returns [None] when the
    step is disabled by clock guards or the target invariants. *)
-let fire (net : Network.t) abstraction reduction c parts =
+let fire (net : Network.t) abstraction c parts =
   let z = Dbm.copy c.zone in
   (* clock guards are evaluated under the pre-update environment *)
   List.iter
@@ -159,7 +159,7 @@ let fire (net : Network.t) abstraction reduction c parts =
       let e = Automaton.edge net.automata.(i) ei in
       Guard.apply c.state.env e.guard z)
     parts;
-  if Dbm.is_empty z then Option.None
+  if Dbm.is_empty z then None
   else begin
     let env = Array.copy c.state.env in
     let locs = Array.copy c.state.locs in
@@ -171,15 +171,14 @@ let fire (net : Network.t) abstraction reduction c parts =
       parts;
     let st = { locs; env } in
     apply_invariants net st z;
-    if Dbm.is_empty z then Option.None
+    if Dbm.is_empty z then None
     else begin
-      delay_close net abstraction reduction st z;
-      if Dbm.is_empty z then Option.None else Some { state = st; zone = z }
+      delay_close net abstraction st z;
+      if Dbm.is_empty z then None else Some { state = st; zone = z }
     end
   end
 
-let successors ?(abstraction = ExtraLU) ?(reduction = Active) (net : Network.t)
-    c =
+let successors ?(abstraction = ExtraLU) ?reduction:_ (net : Network.t) c =
   let st = c.state in
   let n = Array.length net.automata in
   let committed = any_committed net st in
@@ -198,7 +197,7 @@ let successors ?(abstraction = ExtraLU) ?(reduction = Active) (net : Network.t)
   let acc = ref [] in
   let emit label parts =
     if committed_ok parts then
-      match fire net abstraction reduction c parts with
+      match fire net abstraction c parts with
       | Some c' -> acc := (label, c') :: !acc
       | None -> ()
   in
@@ -279,11 +278,11 @@ let zone_of_goal (_net : Network.t) c g ~comp_locs =
   let at_locs =
     List.for_all (fun (i, l) -> c.state.locs.(i) = l) comp_locs
   in
-  if (not at_locs) || not (Guard.data_holds c.state.env g) then Option.None
+  if (not at_locs) || not (Guard.data_holds c.state.env g) then None
   else begin
     let z = Dbm.copy c.zone in
     Guard.apply c.state.env g z;
-    if Dbm.is_empty z then Option.None else Some z
+    if Dbm.is_empty z then None else Some z
   end
 
 let pp_label (net : Network.t) ppf = function

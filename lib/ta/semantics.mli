@@ -10,8 +10,9 @@
     - while some component is in a committed location, only transitions
       leaving a committed location may fire;
     - after each discrete step the zone is delay-closed (unless delay
-      is forbidden), re-constrained by invariants and extrapolated with
-      the network's maximal constants. *)
+      is forbidden), re-constrained by invariants, extrapolated with
+      the per-state L/U constants (under [ExtraLU]) and stripped of
+      inactive clock values. *)
 
 module Dbm = Ita_dbm.Dbm
 
@@ -20,35 +21,31 @@ type state = { locs : int array; env : int array }
 
 type config = { state : state; zone : Dbm.t }
 
-type abstraction = ExtraM | ExtraLU | LuSim
+type abstraction = ExtraLU | LuSim
     (** Which finite abstraction the exploration applies to zones.
-        [ExtraM] is classical maximal-constant extrapolation with one
-        bound per clock ([Network.k]); [ExtraLU] is Extra+LU over the
-        static lower/upper bounds analysis ([Network.lloc]/[uloc] with
-        the [lbase]/[ubase] floors) — coarser, hence fewer symbolic
-        states, with identical reachability verdicts on the
-        diagonal-free automata this library builds.  [LuSim] stores
-        zones {e unextrapolated} (delay-closure rewrites nothing) and
-        relies on the passed list subsuming with the a◁LU simulation
-        test ({!Dbm.le_lu}) over the same L/U constants — strictly
-        coarser than Extra+LU inclusion, again with identical verdicts.
-        Exact zones also make witness traces exact.  Finiteness of the
-        exploration is then a property of the passed list, not of the
-        zone set: an exploration that stores [LuSim] zones must subsume
-        with [Dbm.le_lu], as [Ita_mc.Reach] does. *)
+        [ExtraLU] is Extra+LU over the static lower/upper bounds
+        analysis ([Network.lloc]/[uloc] with the [lbase]/[ubase]
+        floors).  [LuSim] stores zones {e unextrapolated}
+        (delay-closure rewrites nothing) and relies on the passed list
+        subsuming with the a◁LU simulation test ({!Dbm.le_lu}) over the
+        same L/U constants — strictly coarser than Extra+LU inclusion,
+        with identical reachability verdicts on the diagonal-free
+        automata this library builds.  Exact zones also make witness
+        traces and goal zones exact.  Finiteness of the exploration is
+        then a property of the passed list, not of the zone set: an
+        exploration that stores [LuSim] zones must subsume with
+        [Dbm.le_lu], as [Ita_mc.Reach] does. *)
 
-type reduction = None | Active
-    (** Active-clock reduction (Daws–Yovine).  Under [Active]
+type reduction = Active
+    (** Active-clock reduction (Daws–Yovine), always applied:
         delay-closure pins every clock that is inactive in the current
         location vector ([Network.active], minus [Network.pinned]) to
         [0], so zones differing only in dead clock values coincide —
-        a sound reduction: an inactive clock is reset before it is
-        next tested, hence its value cannot influence any future guard
-        or invariant.  [None] keeps dead clock values, which can only
-        enlarge (never change the verdicts of) the explored zone
-        graph; it is the differential-testing oracle for [Active].
-        An exploration must use one reduction for all configurations
-        it builds. *)
+        sound, because an inactive clock is reset before it is next
+        tested.  The one-constructor type is kept only so the
+        repository benchmark ([perfbench/]), which passes
+        [~reduction:Active], compiles unchanged until it moves to one
+        engine configuration record. *)
 
 type label =
   | Internal of { comp : int; edge : int }
@@ -69,10 +66,9 @@ val lu_bounds : Network.t -> state -> int array * int array
     abstraction extrapolates with and the [LuSim] passed list feeds to
     {!Dbm.le_lu}. *)
 
-val initial : ?abstraction:abstraction -> ?reduction:reduction -> Network.t -> config
-(** Defaults: [ExtraLU] abstraction, [Active] reduction.  An
-    exploration must use the same abstraction for every configuration
-    it builds. *)
+val initial : ?abstraction:abstraction -> Network.t -> config
+(** Default: [ExtraLU] abstraction.  An exploration must use the same
+    abstraction for every configuration it builds. *)
 
 val delay_allowed : Network.t -> state -> bool
 
@@ -83,7 +79,8 @@ val successors :
   config ->
   (label * config) list
 (** All symbolic successors, in deterministic order.  Configurations
-    with empty zones are filtered out.
+    with empty zones are filtered out.  [?reduction] is ignored (see
+    {!reduction}).
 
     Domain-safety contract: [initial] and [successors] are pure — they
     read the (immutable) network, never mutate the input configuration,

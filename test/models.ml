@@ -151,3 +151,58 @@ let broadcast_pair () =
   Network.Builder.add_automaton b
     (recv "RDIS" (Guard.data Expr.(Cmp (Eq, Var ok, Int 0))));
   Network.Builder.build b
+
+(* Random diagonal-free automata: one component [P] over clocks [x] (1)
+   and [y] (2), two to four locations [L0..], random guards, upper-bound
+   invariants on [x] and resets.  Upper-bound invariants only, so the
+   initial valuation always satisfies them; clocks that go inactive in
+   some locations exercise the active-clock reduction.  Yields the
+   network and its location count. *)
+let gen_random_net =
+  let open QCheck2.Gen in
+  let gen_atom clock =
+    let* rel = oneofl [ Guard.Lt; Guard.Le; Guard.Ge; Guard.Gt; Guard.Eq ] in
+    let* c = int_range 0 8 in
+    return (Guard.clock_rel clock rel (Expr.Int c))
+  in
+  let gen_guard =
+    let* use_x = bool and* use_y = bool in
+    let* gx = gen_atom 1 and* gy = gen_atom 2 in
+    return
+      (Guard.conj
+         (if use_x then gx else Guard.tt)
+         (if use_y then gy else Guard.tt))
+  in
+  let* nl = int_range 2 4 in
+  let* invariants =
+    list_repeat nl
+      (let* inv = bool in
+       let* c = int_range 1 8 in
+       return (if inv then Guard.clock_le 1 c else Guard.tt))
+  in
+  let* n_edges = int_range nl (2 * nl) in
+  let* edges =
+    list_repeat n_edges
+      (let* src = int_range 0 (nl - 1) and* dst = int_range 0 (nl - 1) in
+       let* guard = gen_guard in
+       let* reset_x = bool and* reset_y = bool in
+       let update =
+         List.concat
+           [
+             (if reset_x then Update.reset 1 else []);
+             (if reset_y then Update.reset 2 else []);
+           ]
+       in
+       return (edge src dst ~guard ~update))
+  in
+  let b = Network.Builder.create () in
+  let _x = Network.Builder.clock b "x" in
+  let _y = Network.Builder.clock b "y" in
+  let locations =
+    List.mapi
+      (fun i inv -> loc (Printf.sprintf "L%d" i) ~invariant:inv)
+      invariants
+  in
+  Network.Builder.add_automaton b
+    (Automaton.make ~name:"P" ~locations ~edges ~initial:0);
+  return (Network.Builder.build b, nl)

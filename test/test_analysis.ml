@@ -1,13 +1,10 @@
 (* Static-analysis tests: one minimal triggering model per lint pass,
-   clean-baseline checks over the generated case-study networks and
-   the shipped example models, and a differential suite showing the
-   active-clock reduction changes no verdict and no WCRT value. *)
+   clean-baseline checks over the generated case-study networks, the
+   shipped example models and random automata. *)
 
 open Ita_ta
 module D = Ita_analysis.Diagnostic
 module Lint = Ita_analysis.Lint
-module Reach = Ita_mc.Reach
-module Wcrt = Ita_mc.Wcrt
 module Query = Ita_mc.Query
 module E = Ita_tafmt.Elaborate
 module R = Ita_casestudy.Radionav
@@ -357,176 +354,10 @@ let test_examples_baseline () =
           (List.length bad) (worst_name findings))
     example_files
 
-(* ------------------------------------------------------------------ *)
-(* Active-clock reduction differential: disabling or enabling the
-   reduction must change no reachability verdict and no WCRT sup
-   value — only the number of explored symbolic states.                *)
-(* ------------------------------------------------------------------ *)
-
-let verdict = function
-  | Reach.Reachable _ -> "reachable"
-  | Reach.Unreachable _ -> "unreachable"
-  | Reach.Budget_exhausted _ -> "budget"
-
-let sup_fingerprint ?(initial_ceiling = 64) ?(max_ceiling = 256) ~reduction net
-    ~at ~clock =
-  match
-    Wcrt.sup ~reduction ~initial_ceiling ~max_ceiling net ~at ~clock
-  with
-  | Wcrt.Sup { value; kind; _ } ->
-      Printf.sprintf "sup %d %s" value
-        (match kind with
-        | Wcrt.Attained -> "attained"
-        | Wcrt.Approached -> "approached")
-  | Wcrt.Goal_unreachable _ -> "unreachable"
-  | Wcrt.Sup_budget_exhausted _ -> "budget"
-  | Wcrt.Sup_unbounded _ -> "unbounded"
-
-let check_net_reduction_agrees name net =
-  let n_clocks = Array.length net.Network.clock_names in
-  Array.iter
-    (fun (a : Automaton.t) ->
-      Array.iter
-        (fun (l : Automaton.location) ->
-          let at =
-            Query.at net ~comp:a.Automaton.name ~loc:l.Automaton.loc_name
-          in
-          for x = 1 to n_clocks - 1 do
-            let off =
-              sup_fingerprint ~reduction:Reach.None net ~at ~clock:x
-            in
-            let on =
-              sup_fingerprint ~reduction:Reach.Active net ~at ~clock:x
-            in
-            Alcotest.(check string)
-              (Printf.sprintf "%s: sup %s at %s.%s" name
-                 net.Network.clock_names.(x) a.Automaton.name
-                 l.Automaton.loc_name)
-              off on
-          done)
-        a.Automaton.locations)
-    net.Network.automata
-
-let test_reduction_agrees_on_models () =
-  let nets =
-    [
-      ("two-phase", (let net, _, _ = Models.two_phase () in net));
-      ("urgent-gate", fst (Models.urgent_gate ()));
-      ("committed-gate", fst (Models.committed_gate ()));
-      ("handshake", fst (Models.handshake ()));
-      ("broadcast", Models.broadcast_pair ());
-    ]
-  in
-  List.iter (fun (name, net) -> check_net_reduction_agrees name net) nets
-
-let test_reduction_agrees_on_examples () =
-  List.iter
-    (fun file ->
-      let { E.net; queries; _ } = E.load_file (model_path file) in
-      List.iteri
-        (fun i q ->
-          match q with
-          | E.Reach_q q ->
-              let off =
-                verdict (Reach.reach ~reduction:Reach.None net q)
-              in
-              let on =
-                verdict (Reach.reach ~reduction:Reach.Active net q)
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "%s query %d" file i)
-                off on
-          | E.Sup_q { clock; at } ->
-              let off =
-                sup_fingerprint ~reduction:Reach.None net ~at ~clock
-              in
-              let on =
-                sup_fingerprint ~reduction:Reach.Active net ~at ~clock
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "%s sup query %d" file i)
-                off on
-          | E.Deadlock_q -> ())
-        queries)
-    example_files
-
-(* Random diagonal-free automata, as in the abstraction differential of
-   test_mc: clocks that go inactive in some locations are exactly what
-   the reduction erases, and a wrong erasure would change a verdict. *)
-let gen_random_net =
-  let open QCheck2.Gen in
-  let gen_atom clock =
-    let* rel = oneofl [ Guard.Lt; Guard.Le; Guard.Ge; Guard.Gt; Guard.Eq ] in
-    let* c = int_range 0 8 in
-    return (Guard.clock_rel clock rel (Expr.Int c))
-  in
-  let gen_guard =
-    let* use_x = bool and* use_y = bool in
-    let* gx = gen_atom 1 and* gy = gen_atom 2 in
-    return
-      (Guard.conj
-         (if use_x then gx else Guard.tt)
-         (if use_y then gy else Guard.tt))
-  in
-  let* nl = int_range 2 4 in
-  let* invariants =
-    list_repeat nl
-      (let* inv = bool in
-       let* c = int_range 1 8 in
-       return (if inv then Guard.clock_le 1 c else Guard.tt))
-  in
-  let* n_edges = int_range nl (2 * nl) in
-  let* edges =
-    list_repeat n_edges
-      (let* src = int_range 0 (nl - 1) and* dst = int_range 0 (nl - 1) in
-       let* guard = gen_guard in
-       let* reset_x = bool and* reset_y = bool in
-       let update =
-         List.concat
-           [
-             (if reset_x then Update.reset 1 else []);
-             (if reset_y then Update.reset 2 else []);
-           ]
-       in
-       return (edge src dst ~guard ~update))
-  in
-  let b = Network.Builder.create () in
-  let _x = Network.Builder.clock b "x" in
-  let _y = Network.Builder.clock b "y" in
-  let locations =
-    List.mapi
-      (fun i inv -> loc (Printf.sprintf "L%d" i) ~invariant:inv)
-      invariants
-  in
-  Network.Builder.add_automaton b
-    (Automaton.make ~name:"P" ~locations ~edges ~initial:0);
-  return (Network.Builder.build b, nl)
-
-let test_reduction_random =
-  QCheck2.Test.make ~count:60
-    ~name:"reduction on and off agree on random automata"
-    QCheck2.Gen.(pair gen_random_net (int_range 0 10))
-    (fun ((net, nl), c) ->
-      let ok = ref true in
-      for l = 0 to nl - 1 do
-        let at = Query.at net ~comp:"P" ~loc:(Printf.sprintf "L%d" l) in
-        let q = Query.with_guard at (Guard.clock_ge 2 c) in
-        let off = verdict (Reach.reach ~reduction:Reach.None net q) in
-        let on = verdict (Reach.reach ~reduction:Reach.Active net q) in
-        if off <> on then ok := false;
-        for x = 1 to 2 do
-          if
-            sup_fingerprint ~reduction:Reach.None net ~at ~clock:x
-            <> sup_fingerprint ~reduction:Reach.Active net ~at ~clock:x
-          then ok := false
-        done
-      done;
-      !ok)
-
-(* And lint itself never crashes on random nets: total by construction *)
+(* Lint never crashes on random nets: total by construction *)
 let test_lint_total_random =
   QCheck2.Test.make ~count:60 ~name:"lint is total on random automata"
-    gen_random_net
+    Models.gen_random_net
     (fun (net, _) ->
       let findings = Lint.run net in
       ignore (Format.asprintf "%a" (Lint.pp_report net) findings);
@@ -542,7 +373,7 @@ let test_lint_total_random =
 let fixture name =
   match List.find_opt Sys.file_exists [ name; "../test/" ^ name ] with
   | Some p -> p
-  | Option.None -> Alcotest.failf "fixture %s not found" name
+  | None -> Alcotest.failf "fixture %s not found" name
 
 (* mirrors tamc's observed_of_queries: what the model's own queries
    watch feeds the cone pass and the unused/never-reset exemptions *)
@@ -586,8 +417,7 @@ let test_lint_json_golden () =
     | D.Automaton_site i -> Some srcmap.E.proc_pos.(i)
     | D.Location_site { comp; loc } -> Some srcmap.E.loc_pos.(comp).(loc)
     | D.Edge_site { comp; edge } -> Some srcmap.E.edge_pos.(comp).(edge)
-    | D.Network_site | D.Clock_site _ | D.Var_site _ | D.Channel_site _ ->
-        Option.None
+    | D.Network_site | D.Clock_site _ | D.Var_site _ | D.Channel_site _ -> None
   in
   let resolve site =
     Option.map
@@ -637,14 +467,6 @@ let () =
             test_generated_baseline;
           Alcotest.test_case "example models clean" `Quick
             test_examples_baseline;
-        ] );
-      ( "reduction-differential",
-        [
-          Alcotest.test_case "wcrt agrees on model zoo" `Quick
-            test_reduction_agrees_on_models;
-          Alcotest.test_case "verdicts agree on examples" `Quick
-            test_reduction_agrees_on_examples;
-          QCheck_alcotest.to_alcotest test_reduction_random;
           QCheck_alcotest.to_alcotest test_lint_total_random;
         ] );
     ]

@@ -45,6 +45,52 @@ let wide_frontier () =
     clocks;
   Network.Builder.build b
 
+(* Two certificate regressions of CoiMerge slicing.  [dead_invariant]:
+   only the invariant of the flow-unreachable [L1] tests [x], so the
+   slice must keep [x] or the checker rejects its mask.
+   [merged_guard]: in a query on [z], the never-reset [x] and [y] are
+   merged, which disables the first self-loop and drops its constants
+   from the flow-refined bounds, so the checker must know the merge to
+   accept the certificate. *)
+let dead_invariant () =
+  let b = Network.Builder.create () in
+  let x = Network.Builder.clock b "x" in
+  let y = Network.Builder.clock b "y" in
+  Network.Builder.add_automaton b
+    (Automaton.make ~name:"P"
+       ~locations:
+         [
+           Models.loc "L0" ~invariant:(Guard.clock_le y 5);
+           Models.loc "L1" ~invariant:(Guard.clock_le x 3);
+         ]
+       ~edges:
+         [
+           Models.edge 0 0 ~guard:(Guard.clock_ge y 5) ~update:(Update.reset y);
+           Models.edge 0 1 ~guard:(Guard.clock_rel y Guard.Lt (Expr.Int 0));
+         ]
+       ~initial:0);
+  Network.Builder.build b
+
+let merged_guard () =
+  let b = Network.Builder.create () in
+  let x = Network.Builder.clock b "x" in
+  let y = Network.Builder.clock b "y" in
+  let z = Network.Builder.clock b "z" in
+  Network.Builder.add_automaton b
+    (Automaton.make ~name:"P"
+       ~locations:[ Models.loc "L0" ~invariant:(Guard.clock_le z 5) ]
+       ~edges:
+         [
+           Models.edge 0 0
+             ~guard:
+               (Guard.conj
+                  (Guard.clock_rel x Guard.Lt (Expr.Int 1))
+                  (Guard.clock_ge y 1));
+           Models.edge 0 0 ~guard:(Guard.clock_ge z 5) ~update:(Update.reset z);
+         ]
+       ~initial:0);
+  Network.Builder.build b
+
 let zoo () =
   [
     ("two-phase", (let net, _, _ = Models.two_phase () in net));
@@ -53,6 +99,8 @@ let zoo () =
     ("handshake", fst (Models.handshake ()));
     ("broadcast", Models.broadcast_pair ());
     ("wide-frontier", wide_frontier ());
+    ("dead-invariant", dead_invariant ());
+    ("merged-guard", merged_guard ());
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -177,8 +225,7 @@ let matrix f =
                 ~abstraction ~slicing ~domains)
             [ 1; 4 ])
         [ ("off", Reach.Off); ("coi", Reach.Coi); ("coimerge", Reach.CoiMerge) ])
-    [ ("extram", Reach.ExtraM); ("extralu", Reach.ExtraLU);
-      ("lusim", Reach.LuSim) ]
+    [ ("extralu", Reach.ExtraLU); ("lusim", Reach.LuSim) ]
 
 let test_zoo_matrix () =
   matrix (fun cfg ~abstraction ~slicing ~domains ->
@@ -228,6 +275,42 @@ let test_examples_matrix () =
                         qc))
             queries))
     [ "two_phase.ta"; "train_gate.ta"; "fischer.ta"; "island_demo.ta" ]
+
+(* ------------------------------------------------------------------ *)
+(* Random automata: every verdict of the default configuration
+   certifies, at 1 and 4 domains.  Unlike the differential tests this
+   needs no second engine configuration: the checker replays naive
+   reference semantics and re-derives every LU vector itself.          *)
+(* ------------------------------------------------------------------ *)
+
+let certifies net ~goal = function
+  | None -> true
+  | Some qc -> Result.is_ok (Cert.check net ~goal qc)
+
+let test_random_certificates =
+  QCheck2.Test.make ~count:60
+    ~print:(fun ((net, _), c) ->
+      Format.asprintf "c = %d@.%a" c Pretty.pp_network net)
+    ~name:"random automata: every verdict certifies"
+    QCheck2.Gen.(pair Models.gen_random_net (int_range 0 10))
+    (fun ((net, nl), c) ->
+      let abstraction = Reach.default_abstraction ()
+      and slicing = Reach.default_slicing () in
+      List.for_all
+        (fun domains ->
+          List.for_all
+            (fun l ->
+              let at = Query.at net ~comp:"P" ~loc:(Printf.sprintf "L%d" l) in
+              let q = Query.with_guard at (Guard.clock_ge 2 c) in
+              certifies net ~goal:(Cert_emit.goal_of_query q)
+                (reach_cert ~abstraction ~slicing ~domains net q)
+              && List.for_all
+                   (fun clock ->
+                     certifies net ~goal:(Cert_emit.goal_of_query at)
+                       (sup_cert ~abstraction ~slicing ~domains net ~at ~clock))
+                   [ 1; 2 ])
+            (List.init nl Fun.id))
+        [ 1; 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* Radionav: certify the case study's WCRT across the matrix           *)
@@ -400,6 +483,15 @@ let test_mutation_swap_state () =
     { qc with Cert.entries }
     Cert.Consecution
 
+let test_mutation_bogus_merge () =
+  let net, unreach, qc = wf_base () in
+  (* c0 and c1 are reset by different components: claiming them merged
+     would let consecution skip transitions their equality disables *)
+  expect_rejection "bogus-merge" net
+    ~goal:(Cert_emit.goal_of_query unreach)
+    { qc with Cert.merged = [ (2, 1) ] }
+    Cert.Mask
+
 let test_mutation_stale_version () =
   let net, _, qc = wf_base () in
   let s = Cert.to_string (Cert_emit.make net [ qc ]) in
@@ -430,6 +522,7 @@ let () =
             test_examples_matrix;
           Alcotest.test_case "radionav: WCRT certifies" `Slow
             test_radionav_certificates;
+          QCheck_alcotest.to_alcotest test_random_certificates;
         ] );
       ( "stability",
         [
@@ -448,5 +541,7 @@ let () =
             test_mutation_swap_state;
           Alcotest.test_case "stale version tag -> format" `Quick
             test_mutation_stale_version;
+          Alcotest.test_case "bogus merged clock pair -> mask" `Quick
+            test_mutation_bogus_merge;
         ] );
     ]

@@ -1,15 +1,15 @@
 (* Dataflow-engine tests: the semantic lint passes on the shipped demo
-   model (findings the purely syntactic passes cannot see), qcheck
+   model (findings the purely syntactic passes cannot see) and qcheck
    soundness of the inferred intervals against concrete random walks,
-   and the flow-refined LU bounds as a pure optimization — identical
-   verdicts and WCRT values with the refinement on and off. *)
+   and the contract of the flow-refined L/U tables (a pointwise
+   tightening of the builder's).  The refined bounds every exploration
+   uses are also validated by the independent certificate checker
+   (test_cert). *)
 
 open Ita_ta
 module Flow = Ita_analysis.Flow
 module D = Ita_analysis.Diagnostic
 module Lint = Ita_analysis.Lint
-module Reach = Ita_mc.Reach
-module Wcrt = Ita_mc.Wcrt
 module Query = Ita_mc.Query
 module E = Ita_tafmt.Elaborate
 
@@ -205,111 +205,69 @@ let test_intervals_sound =
     (fun (net, seed) -> interval_sound net seed)
 
 (* ------------------------------------------------------------------ *)
-(* Flow-refined LU differential: turning the refinement off must change
-   no reachability verdict and no WCRT value — only state counts.      *)
+(* Flow-refined L/U tables: a pointwise min against the builder's
+   per-location tables, with the global floors untouched.              *)
 (* ------------------------------------------------------------------ *)
 
-let verdict = function
-  | Reach.Reachable _ -> "reachable"
-  | Reach.Unreachable _ -> "unreachable"
-  | Reach.Budget_exhausted _ -> "budget"
+let pointwise_le a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (Array.for_all2 (fun row row' ->
+            Array.length row = Array.length row'
+            && Array.for_all2 ( <= ) row row'))
+       a b
 
-let sup_fingerprint ?(initial_ceiling = 64) ?(max_ceiling = 256) ~bounds net
-    ~at ~clock =
-  match Wcrt.sup ~bounds ~initial_ceiling ~max_ceiling net ~at ~clock with
-  | Wcrt.Sup { value; kind; _ } ->
-      Printf.sprintf "sup %d %s" value
-        (match kind with
-        | Wcrt.Attained -> "attained"
-        | Wcrt.Approached -> "approached")
-  | Wcrt.Goal_unreachable _ -> "unreachable"
-  | Wcrt.Sup_budget_exhausted _ -> "budget"
-  | Wcrt.Sup_unbounded _ -> "unbounded"
-
-let check_net_bounds_agree name net =
-  let n_clocks = Array.length net.Network.clock_names in
-  Array.iter
-    (fun (a : Automaton.t) ->
-      Array.iter
-        (fun (l : Automaton.location) ->
-          let at =
-            Query.at net ~comp:a.Automaton.name ~loc:l.Automaton.loc_name
-          in
-          for x = 1 to n_clocks - 1 do
-            let off = sup_fingerprint ~bounds:Reach.Static net ~at ~clock:x in
-            let on = sup_fingerprint ~bounds:Reach.Flow net ~at ~clock:x in
-            Alcotest.(check string)
-              (Printf.sprintf "%s: sup %s at %s.%s" name
-                 net.Network.clock_names.(x) a.Automaton.name
-                 l.Automaton.loc_name)
-              off on
-          done)
-        a.Automaton.locations)
-    net.Network.automata
-
-let test_bounds_agree_on_models () =
-  List.iter
-    (fun (name, net) -> check_net_bounds_agree name net)
-    [
-      ("two-phase", (let net, _, _ = Models.two_phase () in net));
-      ("urgent-gate", fst (Models.urgent_gate ()));
-      ("committed-gate", fst (Models.committed_gate ()));
-      ("handshake", fst (Models.handshake ()));
-      ("broadcast", Models.broadcast_pair ());
-    ]
-
-let model_path name =
-  let candidates =
-    [ "../examples/models/" ^ name; "examples/models/" ^ name ]
+(* A: L0 --(x >= 100 && v >= 5)--> L1, L0 --(x >= 2)--> L2 with v never
+   written, so the first edge is flow-dead.  The builder's L bound of x
+   at L0 counts the dead guard's 100; the refined bound keeps only 2. *)
+let dead_guard_net () =
+  let b = Network.Builder.create () in
+  let x = Network.Builder.clock b "x" in
+  let v = Network.Builder.int_var b "v" ~lo:0 ~hi:3 ~init:0 in
+  let dead =
+    Guard.conj (Guard.clock_ge x 100) (Guard.data Expr.(Cmp (Ge, Var v, Int 5)))
   in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.failf "%s not found" name
+  Network.Builder.add_automaton b
+    (Automaton.make ~name:"A"
+       ~locations:[ loc "L0"; loc "L1"; loc "L2" ]
+       ~edges:[ edge 0 1 ~guard:dead; edge 0 2 ~guard:(Guard.clock_ge x 2) ]
+       ~initial:0);
+  (Network.Builder.build b, x)
 
-let test_bounds_agree_on_examples () =
+let check_refinement_contract name net =
+  let refined = Flow.refine_network net in
+  Alcotest.(check bool)
+    (name ^ ": refined L table below the builder's")
+    true
+    (pointwise_le refined.Network.lloc net.Network.lloc);
+  Alcotest.(check bool)
+    (name ^ ": refined U table below the builder's")
+    true
+    (pointwise_le refined.Network.uloc net.Network.uloc);
+  Alcotest.(check (array int)) (name ^ ": lbase") net.Network.lbase
+    refined.Network.lbase;
+  Alcotest.(check (array int)) (name ^ ": ubase") net.Network.ubase
+    refined.Network.ubase
+
+let test_refined_lu_tightens () =
+  let net, x = dead_guard_net () in
+  Alcotest.(check int) "builder L of x at A.L0" 100 net.Network.lloc.(0).(0).(x);
+  let refined = Flow.refine_network net in
+  Alcotest.(check int) "refined L of x at A.L0" 2
+    refined.Network.lloc.(0).(0).(x);
+  check_refinement_contract "dead-guard" net;
   List.iter
     (fun file ->
-      let { E.net; queries; _ } = E.load_file (model_path file) in
-      List.iteri
-        (fun i q ->
-          match q with
-          | E.Reach_q q ->
-              let off = verdict (Reach.reach ~bounds:Reach.Static net q) in
-              let on = verdict (Reach.reach ~bounds:Reach.Flow net q) in
-              Alcotest.(check string)
-                (Printf.sprintf "%s query %d" file i)
-                off on
-          | E.Sup_q { clock; at } ->
-              let off = sup_fingerprint ~bounds:Reach.Static net ~at ~clock in
-              let on = sup_fingerprint ~bounds:Reach.Flow net ~at ~clock in
-              Alcotest.(check string)
-                (Printf.sprintf "%s sup query %d" file i)
-                off on
-          | E.Deadlock_q -> ())
-        queries)
-    [ "fischer.ta"; "train_gate.ta"; "two_phase.ta" ]
-
-(* Refined bounds may only tighten, and complete explorations never
-   grow: on random networks the flow run explores at most as many
-   states as the static run, with both complete.                       *)
-let test_bounds_never_hurt =
-  QCheck2.Test.make ~count:40
-    ~name:"flow-refined bounds never explore more states"
-    gen_random_flow_net
-    (fun net ->
-      (* explored counts are only comparable at one domain: pin domains
-         so TAMC_DOMAINS cannot make them schedule-dependent *)
-      let count bounds =
+      let path =
         match
-          Reach.explore ~bounds ~budget:(Reach.states 200_000) ~domains:1 net
-            ~on_store:(fun _ -> ())
+          List.find_opt Sys.file_exists
+            [ "../examples/models/" ^ file; "examples/models/" ^ file ]
         with
-        | `Complete s -> Some s.Reach.explored
-        | `Budget_exhausted _ -> None
+        | Some p -> p
+        | None -> Alcotest.failf "%s not found" file
       in
-      match (count Reach.Flow, count Reach.Static) with
-      | Some flow, Some static -> flow <= static
-      | _ -> false)
+      check_refinement_contract file (E.load_file path).E.net)
+    [ "fischer.ta"; "train_gate.ta"; "two_phase.ta" ]
 
 let () =
   Alcotest.run "flow"
@@ -322,12 +280,9 @@ let () =
         ] );
       ( "soundness",
         [ QCheck_alcotest.to_alcotest test_intervals_sound ] );
-      ( "bounds-differential",
+      ( "refined-lu-contract",
         [
-          Alcotest.test_case "wcrt agrees on model zoo" `Quick
-            test_bounds_agree_on_models;
-          Alcotest.test_case "verdicts agree on examples" `Quick
-            test_bounds_agree_on_examples;
-          QCheck_alcotest.to_alcotest test_bounds_never_hurt;
+          Alcotest.test_case "refinement drops dead-guard constants" `Quick
+            test_refined_lu_tightens;
         ] );
     ]

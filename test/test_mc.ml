@@ -28,13 +28,14 @@ let test_unreachable order () =
   | _ -> Alcotest.fail "y >= 7 should be unreachable at L2"
 
 let test_goal_zone () =
-  (* goal-zone exactness is an ExtraM property: Extra+LU may blur the
-     upper bound of a clock above its (query-bumped) L constant, which
-     is sound for verdicts but coarsens the returned zone *)
+  (* goal-zone exactness is a LuSim property: LuSim stores exact zones,
+     while Extra+LU may blur the upper bound of a clock above its
+     (query-bumped) L constant, which is sound for verdicts but
+     coarsens the returned zone *)
   let net, _x, y = Models.two_phase () in
   let q = Query.at net ~comp:"P" ~loc:"L2" in
   let q = Query.with_guard q (guard_y_ge y 5) in
-  match Reach.reach ~abstraction:Reach.ExtraM net q with
+  match Reach.reach ~abstraction:Reach.LuSim net q with
   | Reach.Reachable { goal_zone; _ } ->
       Alcotest.(check bool) "goal zone bounded by 6" true
         (Bound.compare (Ita_dbm.Dbm.sup goal_zone y) (Bound.le 6) <= 0)
@@ -333,7 +334,7 @@ let symbolic_cover net =
     match Reach.default_abstraction () with
     | Reach.LuSim ->
         Some (Ita_analysis.Flow.(refine_lu (analyze net) net))
-    | Reach.ExtraM | Reach.ExtraLU -> None
+    | Reach.ExtraLU -> None
   in
   fun (c : Concrete.t) ->
     (* the engine pins dead clocks at 0; normalize the concrete
@@ -413,9 +414,8 @@ let coverage_suite =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* ExtraM vs Extra+LU differential testing: the coarser abstraction
-   must never change a reachability verdict or a WCRT value — ExtraM
-   is the oracle ExtraLU is checked against.                           *)
+(* Extra+LU vs LuSim differential testing: the two abstractions must
+   never disagree on a reachability verdict or a WCRT value.           *)
 (* ------------------------------------------------------------------ *)
 
 let verdict = function
@@ -437,8 +437,8 @@ let sup_fingerprint ?(initial_ceiling = 64) ?(max_ceiling = 256) net ~at ~clock
   | Wcrt.Sup_budget_exhausted _ -> "budget"
   | Wcrt.Sup_unbounded _ -> "unbounded"
 
-(* Every location of every component, every clock: all three
-   abstractions must report the same sup outcome. *)
+(* Every location of every component, every clock: both abstractions
+   must report the same sup outcome. *)
 let check_net_wcrt_agrees name net =
   let n_clocks = Array.length net.Network.clock_names in
   Array.iteri
@@ -447,14 +447,8 @@ let check_net_wcrt_agrees name net =
         (fun (l : Automaton.location) ->
           let at = Query.at net ~comp:a.Automaton.name ~loc:l.Automaton.loc_name in
           for x = 1 to n_clocks - 1 do
-            let m = sup_fingerprint net ~at ~clock:x Reach.ExtraM in
             let lu = sup_fingerprint net ~at ~clock:x Reach.ExtraLU in
             let ls = sup_fingerprint net ~at ~clock:x Reach.LuSim in
-            Alcotest.(check string)
-              (Printf.sprintf "%s: sup %s at %s.%s" name
-                 net.Network.clock_names.(x) a.Automaton.name
-                 l.Automaton.loc_name)
-              m lu;
             Alcotest.(check string)
               (Printf.sprintf "%s: lusim sup %s at %s.%s" name
                  net.Network.clock_names.(x) a.Automaton.name
@@ -495,22 +489,14 @@ let test_verdicts_agree_on_examples () =
         (fun i q ->
           match q with
           | E.Reach_q q ->
-              let m = verdict (Reach.reach ~abstraction:Reach.ExtraM net q) in
               let lu = verdict (Reach.reach ~abstraction:Reach.ExtraLU net q) in
               let ls = verdict (Reach.reach ~abstraction:Reach.LuSim net q) in
-              Alcotest.(check string)
-                (Printf.sprintf "%s query %d" file i)
-                m lu;
               Alcotest.(check string)
                 (Printf.sprintf "%s query %d (lusim)" file i)
                 lu ls
           | E.Sup_q { clock; at } ->
-              let m = sup_fingerprint net ~at ~clock Reach.ExtraM in
               let lu = sup_fingerprint net ~at ~clock Reach.ExtraLU in
               let ls = sup_fingerprint net ~at ~clock Reach.LuSim in
-              Alcotest.(check string)
-                (Printf.sprintf "%s sup query %d" file i)
-                m lu;
               Alcotest.(check string)
                 (Printf.sprintf "%s sup query %d (lusim)" file i)
                 lu ls
@@ -518,62 +504,10 @@ let test_verdicts_agree_on_examples () =
         queries)
     [ "fischer.ta"; "train_gate.ta"; "two_phase.ta" ]
 
-(* Random diagonal-free automata: two clocks, a handful of locations,
-   random guards / invariants / resets.  Upper-bound invariants only,
-   so the initial valuation always satisfies them.                     *)
-let gen_random_net =
-  let open QCheck2.Gen in
-  let gen_atom clock =
-    let* rel = oneofl [ Guard.Lt; Guard.Le; Guard.Ge; Guard.Gt; Guard.Eq ] in
-    let* c = int_range 0 8 in
-    return (Guard.clock_rel clock rel (Expr.Int c))
-  in
-  let gen_guard =
-    let* use_x = bool and* use_y = bool in
-    let* gx = gen_atom 1 and* gy = gen_atom 2 in
-    return
-      (Guard.conj
-         (if use_x then gx else Guard.tt)
-         (if use_y then gy else Guard.tt))
-  in
-  let* nl = int_range 2 4 in
-  let* invariants =
-    list_repeat nl
-      (let* inv = bool in
-       let* c = int_range 1 8 in
-       return (if inv then Guard.clock_le 1 c else Guard.tt))
-  in
-  let* n_edges = int_range nl (2 * nl) in
-  let* edges =
-    list_repeat n_edges
-      (let* src = int_range 0 (nl - 1) and* dst = int_range 0 (nl - 1) in
-       let* guard = gen_guard in
-       let* reset_x = bool and* reset_y = bool in
-       let update =
-         List.concat
-           [
-             (if reset_x then Update.reset 1 else []);
-             (if reset_y then Update.reset 2 else []);
-           ]
-       in
-       return (Models.edge src dst ~guard ~update))
-  in
-  let b = Network.Builder.create () in
-  let _x = Network.Builder.clock b "x" in
-  let _y = Network.Builder.clock b "y" in
-  let locations =
-    List.mapi
-      (fun i inv -> Models.loc (Printf.sprintf "L%d" i) ~invariant:inv)
-      invariants
-  in
-  Network.Builder.add_automaton b
-    (Automaton.make ~name:"P" ~locations ~edges ~initial:0);
-  return (Network.Builder.build b, nl)
-
 let test_random_nets_agree =
   QCheck2.Test.make ~count:60
-    ~name:"ExtraM, Extra+LU and LuSim verdicts agree on random automata"
-    QCheck2.Gen.(pair gen_random_net (int_range 0 10))
+    ~name:"Extra+LU and LuSim verdicts agree on random automata"
+    QCheck2.Gen.(pair Models.gen_random_net (int_range 0 10))
     (fun ((net, nl), c) ->
       (* reachability of every location with y >= c, plus the sup of
          both clocks at every location, must be abstraction-invariant *)
@@ -581,14 +515,12 @@ let test_random_nets_agree =
       for l = 0 to nl - 1 do
         let at = Query.at net ~comp:"P" ~loc:(Printf.sprintf "L%d" l) in
         let q = Query.with_guard at (Guard.clock_ge 2 c) in
-        let m = verdict (Reach.reach ~abstraction:Reach.ExtraM net q) in
         let lu = verdict (Reach.reach ~abstraction:Reach.ExtraLU net q) in
         let ls = verdict (Reach.reach ~abstraction:Reach.LuSim net q) in
-        if m <> lu || lu <> ls then ok := false;
+        if lu <> ls then ok := false;
         for x = 1 to 2 do
           let fp = sup_fingerprint net ~at ~clock:x in
-          let lu = fp Reach.ExtraLU in
-          if fp Reach.ExtraM <> lu || fp Reach.LuSim <> lu then ok := false
+          if fp Reach.ExtraLU <> fp Reach.LuSim then ok := false
         done
       done;
       !ok)
@@ -607,7 +539,7 @@ let with_env var value f =
      absent before (putenv cannot unset). *)
   Fun.protect
     ~finally:(fun () ->
-      Unix.putenv var (match saved with Some s -> s | Option.None -> ""))
+      Unix.putenv var (match saved with Some s -> s | None -> ""))
     f
 
 let test_parse_domains () =
@@ -644,9 +576,10 @@ let test_parse_abstraction () =
       | Error _ -> true
       | Ok _ -> false)
   in
-  ok "extram" Reach.ExtraM;
   ok "ExtraLU" Reach.ExtraLU;
   ok " lusim " Reach.LuSim;
+  ok "LuSim" Reach.LuSim;
+  err "extram";
   err "extra+lu";
   err "m";
   err ""
@@ -669,6 +602,30 @@ let test_parse_slicing () =
   err "cone";
   err "on";
   err ""
+
+let test_parse_order () =
+  Alcotest.(check bool) "bfs" true (Reach.parse_order "bfs" = Ok Reach.Bfs);
+  Alcotest.(check bool) "DFS" true (Reach.parse_order "DFS" = Ok Reach.Dfs);
+  Alcotest.(check bool) "rdfs seeds 1" true
+    (Reach.parse_order " rdfs " = Ok (Reach.Random_dfs 1));
+  Alcotest.(check bool) "unknown rejected" true
+    (Result.is_error (Reach.parse_order "random"));
+  (* the printers name exactly what the parsers accept *)
+  List.iter
+    (fun o ->
+      Alcotest.(check bool) "order round trip" true
+        (Reach.parse_order (Reach.order_name o) = Ok o))
+    [ Reach.Bfs; Reach.Dfs; Reach.Random_dfs 1 ];
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) "abstraction round trip" true
+        (Reach.parse_abstraction (Reach.abstraction_name a) = Ok a))
+    [ Reach.ExtraLU; Reach.LuSim ];
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) "slicing round trip" true
+        (Reach.parse_slicing (Reach.slicing_name m) = Ok m))
+    [ Reach.Off; Reach.Coi; Reach.CoiMerge ]
 
 let test_default_domains_env () =
   let fallback = max 1 (Domain.recommended_domain_count ()) in
@@ -717,6 +674,8 @@ let () =
           Alcotest.test_case "parse domains" `Quick test_parse_domains;
           Alcotest.test_case "parse abstraction" `Quick test_parse_abstraction;
           Alcotest.test_case "parse slicing" `Quick test_parse_slicing;
+          Alcotest.test_case "parse order, names round trip" `Quick
+            test_parse_order;
           Alcotest.test_case "TAMC_DOMAINS fallback" `Quick
             test_default_domains_env;
           Alcotest.test_case "TAMC_ABSTRACTION fallback" `Quick

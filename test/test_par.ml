@@ -203,7 +203,7 @@ let covers_lusim rnet passed passed' =
           List.find_opt (fun ((st' : Semantics.state), _) -> st' = st) passed'
         with
         | Some (_, zs) -> zs
-        | Option.None -> []
+        | None -> []
       in
       List.for_all
         (fun z -> List.exists (fun z' -> Dbm.le_lu l u z z') zones')
@@ -311,58 +311,9 @@ let test_radionav_antichains () =
   check_antichains "radionav al/po" gen.Ita_core.Gen.net
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: random automata — parallel vs sequential vs the concrete
-   oracle (generator mirrors test_mc's random diagonal-free nets)      *)
+(* Satellite: random automata ({!Models.gen_random_net}) — parallel vs
+   sequential vs the concrete oracle                                   *)
 (* ------------------------------------------------------------------ *)
-
-let gen_random_net =
-  let open QCheck2.Gen in
-  let gen_atom clock =
-    let* rel = oneofl [ Guard.Lt; Guard.Le; Guard.Ge; Guard.Gt; Guard.Eq ] in
-    let* c = int_range 0 8 in
-    return (Guard.clock_rel clock rel (Expr.Int c))
-  in
-  let gen_guard =
-    let* use_x = bool and* use_y = bool in
-    let* gx = gen_atom 1 and* gy = gen_atom 2 in
-    return
-      (Guard.conj
-         (if use_x then gx else Guard.tt)
-         (if use_y then gy else Guard.tt))
-  in
-  let* nl = int_range 2 4 in
-  let* invariants =
-    list_repeat nl
-      (let* inv = bool in
-       let* c = int_range 1 8 in
-       return (if inv then Guard.clock_le 1 c else Guard.tt))
-  in
-  let* n_edges = int_range nl (2 * nl) in
-  let* edges =
-    list_repeat n_edges
-      (let* src = int_range 0 (nl - 1) and* dst = int_range 0 (nl - 1) in
-       let* guard = gen_guard in
-       let* reset_x = bool and* reset_y = bool in
-       let update =
-         List.concat
-           [
-             (if reset_x then Update.reset 1 else []);
-             (if reset_y then Update.reset 2 else []);
-           ]
-       in
-       return (Models.edge src dst ~guard ~update))
-  in
-  let b = Network.Builder.create () in
-  let _x = Network.Builder.clock b "x" in
-  let _y = Network.Builder.clock b "y" in
-  let locations =
-    List.mapi
-      (fun i inv -> Models.loc (Printf.sprintf "L%d" i) ~invariant:inv)
-      invariants
-  in
-  Network.Builder.add_automaton b
-    (Automaton.make ~name:"P" ~locations ~edges ~initial:0);
-  return (Network.Builder.build b, nl)
 
 let point_zone v =
   let z = Dbm.zero (Array.length v - 1) in
@@ -380,7 +331,7 @@ let symbolic_cover ?abstraction ~domains net =
   let abstraction =
     match abstraction with
     | Some a -> a
-    | Option.None -> Reach.default_abstraction ()
+    | None -> Reach.default_abstraction ()
   in
   let store = Hashtbl.create 256 in
   (match
@@ -398,7 +349,7 @@ let symbolic_cover ?abstraction ~domains net =
     match abstraction with
     | Reach.LuSim ->
         Some Ita_analysis.Flow.(refine_lu (analyze net) net)
-    | Reach.ExtraM | Reach.ExtraLU -> Option.None
+    | Reach.ExtraLU -> None
   in
   fun (c : Concrete.t) ->
     let n = Array.length net.Network.clock_names in
@@ -414,7 +365,7 @@ let symbolic_cover ?abstraction ~domains net =
       if not live then clocks.(x) <- 0
     done;
     match Hashtbl.find_opt store (c.Concrete.locs, c.Concrete.env) with
-    | Option.None -> false
+    | None -> false
     | Some zones -> (
         List.exists (fun z -> Dbm.satisfies z clocks) zones
         ||
@@ -426,7 +377,7 @@ let symbolic_cover ?abstraction ~domains net =
             let l, u = Semantics.lu_bounds rnet st in
             let pt = point_zone clocks in
             List.exists (fun z -> Dbm.le_lu l u pt z) zones
-        | Option.None -> false)
+        | None -> false)
 
 let safe_walk net ~seed ~steps ~max_step_delay =
   (* like Concrete.random_walk, but skipping enabled transitions whose
@@ -463,7 +414,7 @@ let safe_walk net ~seed ~steps ~max_step_delay =
 let test_random_nets_par_agree =
   QCheck2.Test.make ~count:40
     ~name:"parallel verdicts agree with sequential and cover concrete walks"
-    QCheck2.Gen.(triple gen_random_net (int_range 0 10) (int_range 1 10_000))
+    QCheck2.Gen.(triple Models.gen_random_net (int_range 0 10) (int_range 1 10_000))
     (fun ((net, nl), c, seed) ->
       let ok = ref true in
       (* verdict differential on every location, incl. LuSim *)
@@ -651,8 +602,7 @@ let test_one_domain_radionav_counts () =
       in
       match
         Wcrt.sup ~order:Reach.Bfs ~abstraction:Reach.ExtraLU
-          ~reduction:Reach.Active ~bounds:Reach.Flow ~slicing:Reach.CoiMerge
-          ~domains:1
+          ~slicing:Reach.CoiMerge ~domains:1
           ~initial_ceiling:(max 4 (4 * uncontended))
           gen.Ita_core.Gen.net ~at:obs.Ita_core.Gen.seen
           ~clock:obs.Ita_core.Gen.obs_clock
@@ -691,7 +641,7 @@ let test_parallel_witness () =
       | first :: _ ->
           Alcotest.(check bool)
             "witness starts at the initial state" true
-            (first.Reach.via = Option.None))
+            (first.Reach.via = None))
   | _ -> Alcotest.fail "L2 with y >= 6 is reachable"
 
 let test_default_domains_positive () =

@@ -3,7 +3,7 @@
    suites showing that slicing changes no verdict and no WCRT — on the
    model zoo, on the shipped example models, on the radionav case
    study and on random automata checked against a concrete-walk
-   oracle — across all three abstractions and 1/4 worker domains. *)
+   oracle — across both abstractions and 1/4 worker domains. *)
 
 open Ita_ta
 open Ita_mc
@@ -325,10 +325,8 @@ let check_net_differential name net =
                       (verdict
                          (Reach.reach ~slicing ~abstraction ~domains:d net q)))
                   [
-                    (Reach.Coi, Reach.ExtraM, 1);
                     (Reach.Coi, Reach.ExtraLU, 1);
                     (Reach.Coi, Reach.LuSim, 1);
-                    (Reach.CoiMerge, Reach.ExtraM, 1);
                     (Reach.CoiMerge, Reach.ExtraLU, 1);
                     (Reach.CoiMerge, Reach.LuSim, 1);
                     (Reach.CoiMerge, Reach.ExtraLU, 4);
@@ -345,9 +343,7 @@ let check_net_differential name net =
                   base
                   (sup_fp ~slicing ~abstraction ~domains:d net ~at ~clock:x ()))
               [
-                (Reach.Coi, Reach.ExtraM, 1);
                 (Reach.Coi, Reach.ExtraLU, 1);
-                (Reach.CoiMerge, Reach.ExtraM, 1);
                 (Reach.CoiMerge, Reach.ExtraLU, 1);
                 (Reach.CoiMerge, Reach.LuSim, 1);
                 (Reach.CoiMerge, Reach.ExtraLU, 4);
@@ -530,7 +526,7 @@ let test_random_island =
                 if
                   verdict (Reach.reach ~slicing ~abstraction net q) <> base
                 then ok := false)
-              [ Reach.ExtraM; Reach.ExtraLU; Reach.LuSim ])
+              [ Reach.ExtraLU; Reach.LuSim ])
           [ Reach.Coi; Reach.CoiMerge ];
         (* the oracle: a concrete state of the ORIGINAL network hitting
            the goal forces the sliced verdict to be reachable *)

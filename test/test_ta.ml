@@ -134,11 +134,17 @@ let test_validation () =
 
 let test_extrapolation_constants () =
   let net, x, y = Models.two_phase () in
-  Alcotest.(check int) "k(x) from guards/invariants" 4 net.Network.k.(x);
-  Alcotest.(check int) "k(y): unconstrained" 0 net.Network.k.(y);
+  (* at L0 the next test of x is the guard 1 <= x <= 2; at L1 it is
+     the invariant x <= 4 and the guard x == 4 *)
+  let at loc = Semantics.lu_bounds net { Semantics.locs = [| loc |]; env = [||] } in
+  let l0, u0 = at 0 and l1, u1 = at 1 in
+  Alcotest.(check (pair int int)) "L/U(x) at L0" (1, 2) (l0.(x), u0.(x));
+  Alcotest.(check (pair int int)) "L/U(x) at L1" (4, 4) (l1.(x), u1.(x));
+  Alcotest.(check (pair int int)) "y: unconstrained" (0, 0) (l0.(y), u0.(y));
   let net' = Network.bump_clock_bound net y 99 in
-  Alcotest.(check int) "bumped" 99 net'.Network.k.(y);
-  Alcotest.(check int) "original untouched" 0 net.Network.k.(y)
+  Alcotest.(check (pair int int)) "bumped" (99, 99)
+    (net'.Network.lbase.(y), net'.Network.ubase.(y));
+  Alcotest.(check int) "original untouched" 0 net.Network.ubase.(y)
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic semantics                                                  *)

@@ -50,7 +50,7 @@ let abstraction_arg =
     value
     & opt
         (knob_conv Reach.parse_abstraction Reach.abstraction_name)
-        (Reach.default_abstraction ())
+        Reach.ExtraLU
     & info [ "abstraction" ]
         ~doc:
           "zone abstraction: extralu (default) or lusim (store \
@@ -62,12 +62,12 @@ let slicing_arg =
     value
     & opt
         (knob_conv Reach.parse_slicing Reach.slicing_name)
-        (Reach.default_slicing ())
+        Reach.CoiMerge
     & info [ "slicing" ]
         ~doc:
           "query-directed model reduction before exploring: coimerge \
            (default; cone-of-influence slice plus quasi-equal clock \
-           merging), coi (slice only) or off (oracle)")
+           merging) or off (oracle)")
 
 (* the parser above cannot know the seed yet; thread it in here *)
 let seeded_order order seed =
@@ -214,7 +214,9 @@ let analyze_cell ?(force_exhaustive = false) (row : R.row) column ~budget =
         order = Reach.Dfs;
         budget = Reach.states states;
         start;
-        step = 25_000;
+        (* finer steps where the answers sit a few ms above the
+           uncontended time *)
+        step = (if row.R.requirement = "TMC" then 25_000 else 5_000);
       }
   in
   let method_ =

@@ -24,13 +24,12 @@ let slicing_conv = knob_conv Reach.parse_slicing Reach.slicing_name
 let slicing_arg =
   Arg.(
     value
-    & opt slicing_conv (Reach.default_slicing ())
+    & opt slicing_conv Reach.CoiMerge
     & info [ "slicing" ]
         ~doc:
           "query-directed model reduction before exploring: coimerge \
-           (cone-of-influence slice plus quasi-equal clock merging), coi \
-           (slice only) or off (oracle); default: the TAMC_SLICING \
-           environment variable, else coimerge")
+           (default; cone-of-influence slice plus quasi-equal clock \
+           merging) or off (oracle)")
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ta")
@@ -254,13 +253,12 @@ let check_cmd =
   let abstraction =
     Arg.(
       value
-      & opt abstraction_conv (Reach.default_abstraction ())
+      & opt abstraction_conv Reach.ExtraLU
       & info [ "abstraction" ]
           ~doc:
-            "zone abstraction: extralu or lusim (store unextrapolated \
-             zones, subsume with the a<|LU simulation — coarsest); \
-             default: the TAMC_ABSTRACTION environment variable, else \
-             extralu")
+            "zone abstraction: extralu (default) or lusim (store \
+             unextrapolated zones, subsume with the a<|LU simulation — \
+             coarsest)")
   in
   let cert_out =
     Arg.(

@@ -624,8 +624,7 @@ let race_pass fa (net : Network.t) =
 (* ---- outside-query-cone (semantic, slice-powered) ---- *)
 
 (* Only meaningful when the caller names observed components: without a
-   query there is no cone.  Merging is irrelevant to the removal set,
-   so the cheaper [Coi] mode is enough. *)
+   query there is no cone.  Merging does not change the removal set. *)
 let cone_pass fa ~observed_comps ~observed_clocks ~observed_vars
     (net : Network.t) =
   if observed_comps = [] then []
@@ -637,7 +636,7 @@ let cone_pass fa ~observed_comps ~observed_clocks ~observed_vars
         g_vars = observed_vars;
       }
     in
-    let sl = Slice.make ~mode:Slice.Coi ~fa net goal in
+    let sl = Slice.make ~fa net goal in
     List.map
       (fun ci ->
         mk
@@ -695,7 +694,7 @@ let merge_pass ~observed (net : Network.t) =
                 mk
                   ~fix:
                     "pin the clock (bump its clock bound) or disable merging \
-                     (slicing mode coi or off)"
+                     (slicing mode off)"
                   D.Merged_query_clock D.Warning (D.Clock_site x)
                   (sprintf
                      "the query observes clock %s, but quasi-equal merging \

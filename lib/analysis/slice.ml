@@ -1,7 +1,7 @@
 open Ita_ta
 module D = Diagnostic
 
-type mode = Off | Coi | CoiMerge
+type mode = Off | CoiMerge
 
 type goal = {
   g_comps : int list;
@@ -313,46 +313,44 @@ let make ?(mode = CoiMerge) ?fa (net : Network.t) (goal : goal) =
                 e.Automaton.update)
           (auto ci).Automaton.edges
     done;
-    (* Quasi-equal clock detection (CoiMerge): group the kept, unpinned
-       clocks by their reset signature over every edge of a kept
-       component — the Int constant reset there, or nothing.  Clocks
-       sharing a signature are equal in every reachable valuation (all
-       start at 0), so each class collapses onto its smallest member.
-       Dead edges count too: the certificate checker validates merges
+    (* Quasi-equal clock detection: group the kept, unpinned clocks by
+       their reset signature over every edge of a kept component — the
+       Int constant reset there, or nothing.  Clocks sharing a
+       signature are equal in every reachable valuation (all start at
+       0), so each class collapses onto its smallest member.  Dead
+       edges count too: the certificate checker validates merges
        without the flow analysis. *)
     let merged_into = Array.make ncl (-1) in
-    if mode = CoiMerge then begin
-      let candidate = Array.make ncl false in
-      for x = 1 to ncl - 1 do
-        candidate.(x) <- rel_clock.(x) && not net.Network.pinned.(x)
-      done;
-      let signature = Array.make ncl [] in
-      for ci = 0 to nc - 1 do
-        if keep.(ci) then
-          Array.iter
-            (fun (e : Automaton.edge) ->
-              let consts = Hashtbl.create 4 in
-              List.iter
-                (function
-                  | Update.Reset_clock (x, Expr.Int c) when c >= 0 ->
-                      Hashtbl.replace consts x c
-                  | Update.Reset_clock (x, _) -> candidate.(x) <- false
-                  | Update.Set_var _ -> ())
-                e.Automaton.update;
-              for x = 1 to ncl - 1 do
-                if candidate.(x) then
-                  signature.(x) <- Hashtbl.find_opt consts x :: signature.(x)
-              done)
-            (auto ci).Automaton.edges
-      done;
-      let groups = Hashtbl.create 8 in
-      for x = 1 to ncl - 1 do
-        if candidate.(x) then
-          match Hashtbl.find_opt groups signature.(x) with
-          | None -> Hashtbl.add groups signature.(x) x
-          | Some r -> merged_into.(x) <- r
-      done
-    end;
+    let candidate = Array.make ncl false in
+    for x = 1 to ncl - 1 do
+      candidate.(x) <- rel_clock.(x) && not net.Network.pinned.(x)
+    done;
+    let signature = Array.make ncl [] in
+    for ci = 0 to nc - 1 do
+      if keep.(ci) then
+        Array.iter
+          (fun (e : Automaton.edge) ->
+            let consts = Hashtbl.create 4 in
+            List.iter
+              (function
+                | Update.Reset_clock (x, Expr.Int c) when c >= 0 ->
+                    Hashtbl.replace consts x c
+                | Update.Reset_clock (x, _) -> candidate.(x) <- false
+                | Update.Set_var _ -> ())
+              e.Automaton.update;
+            for x = 1 to ncl - 1 do
+              if candidate.(x) then
+                signature.(x) <- Hashtbl.find_opt consts x :: signature.(x)
+            done)
+          (auto ci).Automaton.edges
+    done;
+    let groups = Hashtbl.create 8 in
+    for x = 1 to ncl - 1 do
+      if candidate.(x) then
+        match Hashtbl.find_opt groups signature.(x) with
+        | None -> Hashtbl.add groups signature.(x) x
+        | Some r -> merged_into.(x) <- r
+    done;
     let dropped_edges = ref [] in
     for ci = nc - 1 downto 0 do
       if keep.(ci) then

@@ -51,10 +51,10 @@
 
 open Ita_ta
 
-type mode = Off | Coi | CoiMerge
-    (** [Off] — identity (the differential-testing oracle).  [Coi] —
-        cone-of-influence slicing only.  [CoiMerge] (the default
-        everywhere) — slicing plus quasi-equal clock merging. *)
+type mode = Off | CoiMerge
+    (** [Off] — identity (the differential-testing oracle).  [CoiMerge]
+        (the default everywhere) — cone-of-influence slicing plus
+        quasi-equal clock merging. *)
 
 type goal = {
   g_comps : int list;  (** components the query observes *)

@@ -27,7 +27,7 @@ type bounds = Flow
 
 module Slice = Ita_analysis.Slice
 
-type slicing = Slice.mode = Off | Coi | CoiMerge
+type slicing = Slice.mode = Off | CoiMerge
 
 type stats = {
   explored : int;
@@ -46,12 +46,8 @@ type outcome =
   | Unreachable of stats
   | Budget_exhausted of stats
 
-(* The environment knobs (TAMC_DOMAINS / TAMC_ABSTRACTION /
-   TAMC_SLICING) are operator knobs, not an API: unrecognised values
-   fall back to the default rather than fail — but loudly, on stderr,
-   naming the valid values, so a typo like [extra+lu] can no longer
-   silently invalidate a whole CI leg.  The pure parsers are exposed
-   for the command-line converters and the unit tests. *)
+(* The pure parsers are exposed for the command-line converters, the
+   environment fallback below and the unit tests. *)
 
 let parse_domains s =
   match int_of_string_opt (String.trim s) with
@@ -63,10 +59,7 @@ let parse_domains s =
 let order_name = function Bfs -> "bfs" | Dfs -> "dfs" | Random_dfs _ -> "rdfs"
 let abstraction_name = function ExtraLU -> "extralu" | LuSim -> "lusim"
 
-let slicing_name = function
-  | Off -> "off"
-  | Coi -> "coi"
-  | CoiMerge -> "coimerge"
+let slicing_name = function Off -> "off" | CoiMerge -> "coimerge"
 
 let parse_named name values s =
   let key = String.lowercase_ascii (String.trim s) in
@@ -78,43 +71,28 @@ let parse_named name values s =
 (* [rdfs] carries seed 1; ranav threads its [--seed] in afterwards *)
 let parse_order = parse_named order_name [ Bfs; Dfs; Random_dfs 1 ]
 let parse_abstraction = parse_named abstraction_name [ ExtraLU; LuSim ]
-let parse_slicing = parse_named slicing_name [ Off; Coi; CoiMerge ]
-
-let warn_env var value err fallback =
-  Printf.eprintf "tamc: warning: %s=%S ignored (%s); using %s\n%!" var value
-    err fallback
-
-let env_knob var parse fallback_desc default =
-  match Sys.getenv_opt var with
-  | None -> default ()
-  | Some s when String.trim s = "" -> default ()
-  | Some s -> (
-      match parse s with
-      | Ok v -> v
-      | Error err ->
-          warn_env var s err fallback_desc;
-          default ())
+let parse_slicing = parse_named slicing_name [ Off; CoiMerge ]
 
 (* The number of worker domains when the caller does not say: the
    TAMC_DOMAINS environment variable (so CI can run the whole test suite
-   at any worker count) or the machine's core count.  An invalid value
-   falls back exactly like an unset one. *)
+   at any worker count) or the machine's core count.  It is an operator
+   knob, not an API: a blank value falls back like an unset one, and an
+   unrecognised one too — but loudly, on stderr, naming the valid
+   values, so a typo cannot silently invalidate a whole CI leg. *)
 let default_domains () =
-  env_knob "TAMC_DOMAINS" parse_domains "the machine's core count" (fun () ->
-      max 1 (Domain.recommended_domain_count ()))
-
-(* The abstraction when the caller does not say: the TAMC_ABSTRACTION
-   environment variable (so CI can force the whole test suite through
-   any abstraction) or Extra+LU. *)
-let default_abstraction () =
-  env_knob "TAMC_ABSTRACTION" parse_abstraction "extralu" (fun () -> ExtraLU)
-
-(* The model-reduction mode when the caller does not say: the
-   TAMC_SLICING environment variable (so CI can force the whole test
-   suite through the unsliced paths) or cone-of-influence slicing plus
-   quasi-equal clock merging. *)
-let default_slicing () =
-  env_knob "TAMC_SLICING" parse_slicing "coimerge" (fun () -> CoiMerge)
+  let cores () = max 1 (Domain.recommended_domain_count ()) in
+  match Sys.getenv_opt "TAMC_DOMAINS" with
+  | None -> cores ()
+  | Some s when String.trim s = "" -> cores ()
+  | Some s -> (
+      match parse_domains s with
+      | Ok n -> n
+      | Error err ->
+          Printf.eprintf
+            "tamc: warning: TAMC_DOMAINS=%S ignored (%s); using the \
+             machine's core count\n%!"
+            s err;
+          cores ())
 
 (* Discrete states are interned under a packed key: locations and
    variables bit-packed into a short int array, each variable in
@@ -601,11 +579,8 @@ type snapshot = {
    counterexamples are found as early as possible (UPPAAL does the
    same).  Returns the result, the passed-list dump thunk and the
    network as explored (after flow refinement). *)
-let run ?(order = Bfs) ?(budget = no_budget) ?abstraction ?domains net ~goal
-    ~on_store () =
-  let abstraction =
-    match abstraction with Some a -> a | None -> default_abstraction ()
-  in
+let run ?(order = Bfs) ?(budget = no_budget) ?(abstraction = ExtraLU) ?domains
+    net ~goal ~on_store () =
   let domains =
     match domains with Some d -> max 1 d | None -> default_domains ()
   in
@@ -666,12 +641,9 @@ let slice_query mode ?(extra_clocks = []) net (q : Query.t) =
   in
   (sl, sl.Slice.net, q')
 
-let reach ?order ?budget ?abstraction ?domains ?slicing ?snap net
+let reach ?order ?budget ?abstraction ?domains ?(slicing = CoiMerge) ?snap net
     (q : Query.t) =
-  let mode =
-    match slicing with Some s -> s | None -> default_slicing ()
-  in
-  let sl, net, q = slice_query mode net q in
+  let sl, net, q = slice_query slicing net q in
   let net =
     List.fold_left
       (fun net (x, c) -> Network.bump_clock_bound net x c)

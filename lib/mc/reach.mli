@@ -14,13 +14,12 @@ type order = Bfs | Dfs | Random_dfs of int  (** seed *)
 
 type abstraction = Semantics.abstraction = ExtraLU | LuSim
     (** Finite abstraction applied to zones (see {!Semantics.abstraction}).
-        The default everywhere is {!default_abstraction} (normally
-        [ExtraLU]).  Under [LuSim] zones are stored unextrapolated and
-        the passed-list antichains subsume with the a◁LU simulation
-        test ({!Ita_dbm.Dbm.le_lu}) over the same flow-refined
-        per-state L/U constants the [ExtraLU] extrapolation reads —
-        strictly coarser pruning, identical verdicts and WCRTs, exact
-        goal zones and witness traces. *)
+        The default everywhere is [ExtraLU].  Under [LuSim] zones are
+        stored unextrapolated and the passed-list antichains subsume
+        with the a◁LU simulation test ({!Ita_dbm.Dbm.le_lu}) over the
+        same flow-refined per-state L/U constants the [ExtraLU]
+        extrapolation reads — strictly coarser pruning, identical
+        verdicts and WCRTs, exact goal zones and witness traces. *)
 
 type reduction = Semantics.reduction = Active
     (** Active-clock reduction, always applied (see
@@ -40,29 +39,26 @@ type bounds = Flow
         repository benchmark ([perfbench/]) compiles unchanged until it
         moves to one engine configuration record. *)
 
-type slicing = Ita_analysis.Slice.mode = Off | Coi | CoiMerge
+type slicing = Ita_analysis.Slice.mode = Off | CoiMerge
     (** Query-directed model reduction applied before exploration (see
-        {!Ita_analysis.Slice}).  The default everywhere is
-        {!default_slicing} (normally [CoiMerge]): components, variables
-        and clocks outside the query's backward cone of influence are
-        removed and quasi-equal clocks are merged, with byte-identical
-        verdicts and WCRTs.  [Coi] skips the merging; [Off] is the
+        {!Ita_analysis.Slice}).  The default everywhere is [CoiMerge]:
+        components, variables and clocks outside the query's backward
+        cone of influence are removed and quasi-equal clocks are
+        merged, with byte-identical verdicts and WCRTs.  [Off] is the
         differential-testing oracle. *)
 
 type budget = { max_states : int option; max_seconds : float option }
 
 val parse_domains : string -> (int, string) result
-(** Parse a [TAMC_DOMAINS]-style value: a positive integer.  The
+(** Parse a [TAMC_DOMAINS] value: a positive integer.  The
     [Error] carries the valid-value description the warning and the
     CLI converters print. *)
 
 val parse_abstraction : string -> (abstraction, string) result
-(** Parse a [TAMC_ABSTRACTION]-style value ([extralu] / [lusim],
-    case-insensitive). *)
+(** Parse an abstraction name ([extralu] / [lusim], case-insensitive). *)
 
 val parse_slicing : string -> (slicing, string) result
-(** Parse a [TAMC_SLICING]-style value ([off] / [coi] / [coimerge],
-    case-insensitive). *)
+(** Parse a slicing mode ([off] / [coimerge], case-insensitive). *)
 
 val parse_order : string -> (order, string) result
 (** Parse a search order ([bfs] / [dfs] / [rdfs], case-insensitive);
@@ -82,20 +78,6 @@ val default_domains : unit -> int
     is spawned.  An unrecognised value falls back exactly like
     an unset one — to the machine's core count — after a one-line
     stderr warning naming the valid values. *)
-
-val default_abstraction : unit -> abstraction
-(** Abstraction used when a caller passes no [?abstraction]: the
-    [TAMC_ABSTRACTION] environment variable ([extralu] / [lusim], so CI
-    can force the whole suite through either abstraction),
-    else [ExtraLU].  Unrecognised values fall back to [ExtraLU] after
-    a one-line stderr warning naming the valid values. *)
-
-val default_slicing : unit -> slicing
-(** Slicing mode used when a caller passes no [?slicing]: the
-    [TAMC_SLICING] environment variable ([off] / [coi] / [coimerge],
-    so CI can force the whole suite through the unsliced paths), else
-    [CoiMerge].  Unrecognised values fall back to [CoiMerge] after a
-    one-line stderr warning naming the valid values. *)
 
 val slice_query :
   slicing ->
@@ -192,7 +174,7 @@ val reach :
     exact reachable valuations (verdicts are unaffected); pass
     [~abstraction:LuSim] when tight goal-zone bounds matter.
 
-    [?slicing] (default {!default_slicing}) reduces the network to the
+    [?slicing] (default [CoiMerge]) reduces the network to the
     query's cone of influence first; the verdict is unaffected.
     Witnesses, states and the goal zone are translated back to the
     original network's index space: removed components are shown at

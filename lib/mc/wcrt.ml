@@ -17,17 +17,16 @@ let goal_sup net (q : Query.t) clock (c : Semantics.config) =
   | None -> None
   | Some z -> Some (Dbm.sup z clock)
 
-let sup ?order ?budget ?abstraction ?reduction:_ ?bounds:_ ?domains ?slicing
-    ?snap ?(initial_ceiling = 1_000_000) ?(max_ceiling = 1 lsl 40) net ~at
-    ~clock =
+let sup ?order ?budget ?abstraction ?reduction:_ ?bounds:_ ?domains
+    ?(slicing = Reach.CoiMerge) ?snap ?(initial_ceiling = 1_000_000)
+    ?(max_ceiling = 1 lsl 40) net ~at ~clock =
   (* slice once, before the ceiling loop: the cone is seeded with the
      goal plus the measured clock, so the sup is taken over exactly the
      same runs — the exploration below runs on the reduced network and
      needs no index translation of its own *)
-  let mode =
-    match slicing with Some s -> s | None -> Reach.default_slicing ()
+  let sl, net, at =
+    Reach.slice_query slicing ~extra_clocks:[ clock ] net at
   in
-  let sl, net, at = Reach.slice_query mode ~extra_clocks:[ clock ] net at in
   let clock =
     match Ita_analysis.Slice.map_clock sl clock with
     | Some c -> c

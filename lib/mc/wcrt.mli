@@ -53,7 +53,7 @@ val sup :
     [1_000_000]) and is multiplied by 4 until the sup falls strictly
     below it, which guarantees soundness of the abstraction.
 
-    [?slicing] (default {!Reach.default_slicing}) reduces the network
+    [?slicing] (default [CoiMerge]) reduces the network
     to the cone of the goal plus the measured clock before exploring;
     the supremum is unchanged.
 

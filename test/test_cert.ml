@@ -224,7 +224,7 @@ let matrix f =
                 (Printf.sprintf "[%s/%s/d=%d]" aname sname domains)
                 ~abstraction ~slicing ~domains)
             [ 1; 4 ])
-        [ ("off", Reach.Off); ("coi", Reach.Coi); ("coimerge", Reach.CoiMerge) ])
+        [ ("off", Reach.Off); ("coimerge", Reach.CoiMerge) ])
     [ ("extralu", Reach.ExtraLU); ("lusim", Reach.LuSim) ]
 
 let test_zoo_matrix () =
@@ -277,10 +277,11 @@ let test_examples_matrix () =
     [ "two_phase.ta"; "train_gate.ta"; "fischer.ta"; "island_demo.ta" ]
 
 (* ------------------------------------------------------------------ *)
-(* Random automata: every verdict of the default configuration
-   certifies, at 1 and 4 domains.  Unlike the differential tests this
-   needs no second engine configuration: the checker replays naive
-   reference semantics and re-derives every LU vector itself.          *)
+(* Random automata: every verdict certifies under every abstraction x
+   slicing combination, at 1 and 4 domains.  Unlike the differential
+   tests this needs no second engine configuration as a reference: the
+   checker replays naive reference semantics and re-derives every LU
+   vector itself.                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let certifies net ~goal = function
@@ -294,10 +295,8 @@ let test_random_certificates =
     ~name:"random automata: every verdict certifies"
     QCheck2.Gen.(pair Models.gen_random_net (int_range 0 10))
     (fun ((net, nl), c) ->
-      let abstraction = Reach.default_abstraction ()
-      and slicing = Reach.default_slicing () in
       List.for_all
-        (fun domains ->
+        (fun (abstraction, slicing, domains) ->
           List.for_all
             (fun l ->
               let at = Query.at net ~comp:"P" ~loc:(Printf.sprintf "L%d" l) in
@@ -310,7 +309,15 @@ let test_random_certificates =
                        (sup_cert ~abstraction ~slicing ~domains net ~at ~clock))
                    [ 1; 2 ])
             (List.init nl Fun.id))
-        [ 1; 4 ])
+        (List.concat_map
+           (fun abstraction ->
+             List.concat_map
+               (fun slicing ->
+                 List.map
+                   (fun domains -> (abstraction, slicing, domains))
+                   [ 1; 4 ])
+               [ Reach.Off; Reach.CoiMerge ])
+           [ Reach.ExtraLU; Reach.LuSim ]))
 
 (* ------------------------------------------------------------------ *)
 (* Radionav: certify the case study's WCRT across the matrix           *)
@@ -363,7 +370,7 @@ let test_domain_count_byte_equality () =
                          certificates are byte-identical"
            sname)
         (bytes 1) (bytes 4))
-    [ ("off", Reach.Off); ("coi", Reach.Coi); ("coimerge", Reach.CoiMerge) ]
+    [ ("off", Reach.Off); ("coimerge", Reach.CoiMerge) ]
 
 (* ------------------------------------------------------------------ *)
 (* Mutation rejection: corrupted certificates name the right

@@ -314,24 +314,24 @@ let point_zone v =
   done;
   z
 
-let symbolic_cover net =
+let symbolic_cover ~abstraction net =
   let store = Hashtbl.create 256 in
   (match
-     Reach.explore net ~on_store:(fun (cfg : Semantics.config) ->
+     Reach.explore ~abstraction net ~on_store:(fun (cfg : Semantics.config) ->
          let key = (cfg.Semantics.state.Semantics.locs, cfg.Semantics.state.Semantics.env) in
          let zones = try Hashtbl.find store key with Not_found -> [] in
          Hashtbl.replace store key (cfg.Semantics.zone :: zones))
    with
   | `Complete _ -> ()
   | `Budget_exhausted _ -> Alcotest.fail "exploration should complete");
-  (* Under [LuSim] (e.g. the TAMC_ABSTRACTION=lusim CI leg) stored
-     zones are exact and pruned up to a◁LU simulation, so a concrete
-     state need only be covered up to a◁LU of some stored zone — the
-     point-zone le_lu test, over the same flow-refined bounds the
-     engine subsumed with.  Under the extrapolations, stored zones are
-     supersets of the exact ones and plain membership must hold. *)
+  (* Under [LuSim] stored zones are exact and pruned up to a◁LU
+     simulation, so a concrete state need only be covered up to a◁LU of
+     some stored zone — the point-zone le_lu test, over the same
+     flow-refined bounds the engine subsumed with.  Under Extra+LU,
+     stored zones are supersets of the exact ones and plain membership
+     must hold. *)
   let lusim_net =
-    match Reach.default_abstraction () with
+    match abstraction with
     | Reach.LuSim ->
         Some (Ita_analysis.Flow.(refine_lu (analyze net) net))
     | Reach.ExtraLU -> None
@@ -366,15 +366,22 @@ let symbolic_cover net =
             let pt = point_zone clocks in
             List.exists (fun z -> Ita_dbm.Dbm.le_lu l u pt z) zones)
 
-let walk_covered net seed =
-  let covered = symbolic_cover net in
-  let walk = Concrete.random_walk net ~seed ~steps:40 ~max_step_delay:7 in
-  List.for_all (fun (_, c) -> covered c) walk
-
+(* every walk must be covered under both abstractions; each zone graph
+   is explored once per network, not once per walk *)
 let prop_concrete_covered name net =
+  let covers =
+    lazy
+      (List.map
+         (fun abstraction -> symbolic_cover ~abstraction net)
+         [ Reach.ExtraLU; Reach.LuSim ])
+  in
   QCheck2.Test.make ~count:25 ~name:("concrete runs covered: " ^ name)
     QCheck2.Gen.(int_range 1 10_000)
-    (fun seed -> walk_covered net seed)
+    (fun seed ->
+      let walk = Concrete.random_walk net ~seed ~steps:40 ~max_step_delay:7 in
+      List.for_all
+        (fun covered -> List.for_all (fun (_, c) -> covered c) walk)
+        (Lazy.force covers))
 
 let generated_mini () =
   (* a small generated architecture network, so the whole Gen pipeline
@@ -526,15 +533,15 @@ let test_random_nets_agree =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Satellite: the operator knobs — pure parsers, and the TAMC_*
-   environment fallbacks.  Unset, blank and invalid values must all
+(* Satellite: the operator knobs — pure parsers, and the TAMC_DOMAINS
+   environment fallback.  Unset, blank and invalid values must all
    resolve to the same built-in default (invalid ones additionally
    warn on stderr; the fallback itself is what these tests pin).       *)
 
 let with_env var value f =
   let saved = Sys.getenv_opt var in
   Unix.putenv var value;
-  (* [env_knob] treats a blank value exactly like an unset one, so
+  (* [default_domains] treats a blank value exactly like an unset one, so
      restoring to "" is a faithful undo even when the variable was
      absent before (putenv cannot unset). *)
   Fun.protect
@@ -597,8 +604,8 @@ let test_parse_slicing () =
       (match Reach.parse_slicing input with Error _ -> true | Ok _ -> false)
   in
   ok "off" Reach.Off;
-  ok "COI" Reach.Coi;
   ok " CoiMerge " Reach.CoiMerge;
+  err "coi";
   err "cone";
   err "on";
   err ""
@@ -625,7 +632,7 @@ let test_parse_order () =
     (fun m ->
       Alcotest.(check bool) "slicing round trip" true
         (Reach.parse_slicing (Reach.slicing_name m) = Ok m))
-    [ Reach.Off; Reach.Coi; Reach.CoiMerge ]
+    [ Reach.Off; Reach.CoiMerge ]
 
 let test_default_domains_env () =
   let fallback = max 1 (Domain.recommended_domain_count ()) in
@@ -640,32 +647,6 @@ let test_default_domains_env () =
             (Reach.default_domains ())))
     [ ""; "  "; "0"; "-2"; "bogus" ]
 
-let test_default_abstraction_env () =
-  with_env "TAMC_ABSTRACTION" "lusim" (fun () ->
-      Alcotest.(check bool) "honored" true
-        (Reach.default_abstraction () = Reach.LuSim));
-  List.iter
-    (fun bad ->
-      with_env "TAMC_ABSTRACTION" bad (fun () ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%S falls back to extralu" bad)
-            true
-            (Reach.default_abstraction () = Reach.ExtraLU)))
-    [ ""; "extra+lu"; "none" ]
-
-let test_default_slicing_env () =
-  with_env "TAMC_SLICING" "off" (fun () ->
-      Alcotest.(check bool) "honored" true
-        (Reach.default_slicing () = Reach.Off));
-  List.iter
-    (fun bad ->
-      with_env "TAMC_SLICING" bad (fun () ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%S falls back to coimerge" bad)
-            true
-            (Reach.default_slicing () = Reach.CoiMerge)))
-    [ ""; "banana"; "merge" ]
-
 let () =
   Alcotest.run "mc"
     [
@@ -678,10 +659,6 @@ let () =
             test_parse_order;
           Alcotest.test_case "TAMC_DOMAINS fallback" `Quick
             test_default_domains_env;
-          Alcotest.test_case "TAMC_ABSTRACTION fallback" `Quick
-            test_default_abstraction_env;
-          Alcotest.test_case "TAMC_SLICING fallback" `Quick
-            test_default_slicing_env;
         ] );
       ( "reach",
         [

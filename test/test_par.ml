@@ -89,8 +89,8 @@ let check_antichains name net =
      engines and schedules) is specific to subset subsumption, whose
      order is antisymmetric; under LuSim two distinct zones can
      simulate each other and the surviving representative is
-     schedule-dependent, so these checks pin Extra+LU regardless of
-     TAMC_ABSTRACTION (LuSim coverage: check_lusim_differential) *)
+     schedule-dependent, so these checks pin Extra+LU (LuSim coverage:
+     check_lusim_differential) *)
   let explore_passed_exn ?budget ~domains net =
     explore_passed_exn ?budget ~abstraction:Reach.ExtraLU ~domains net
   in
@@ -322,17 +322,12 @@ let point_zone v =
   done;
   z
 
-let symbolic_cover ?abstraction ~domains net =
+let symbolic_cover ~abstraction ~domains net =
   (* as in test_mc, but the cover is built by the engine under test.
      Under LuSim the passed list keeps unextrapolated zones and prunes
      up to the a<|LU simulation, so a concrete valuation is covered
      when its point zone is le_lu-below a stored zone (flow-refined
      per-state bounds, as the engine uses). *)
-  let abstraction =
-    match abstraction with
-    | Some a -> a
-    | None -> Reach.default_abstraction ()
-  in
   let store = Hashtbl.create 256 in
   (match
      Reach.explore ~abstraction ~domains net
@@ -437,14 +432,13 @@ let test_random_nets_par_agree =
       in
       if seq_stats.Reach.stored <> par_stats.Reach.stored then ok := false;
       (* concrete oracle: a random walk is covered by the parallel
-         cover under the default abstraction and under LuSim *)
-      let covered = symbolic_cover ~domains:4 net in
-      let covered_lusim =
-        symbolic_cover ~abstraction:Reach.LuSim ~domains:4 net
-      in
+         cover under both abstractions *)
       let walk = safe_walk net ~seed ~steps:40 ~max_step_delay:7 in
-      if not (List.for_all covered walk) then ok := false;
-      if not (List.for_all covered_lusim walk) then ok := false;
+      List.iter
+        (fun abstraction ->
+          let covered = symbolic_cover ~abstraction ~domains:4 net in
+          if not (List.for_all covered walk) then ok := false)
+        [ Reach.ExtraLU; Reach.LuSim ];
       !ok)
 
 (* ------------------------------------------------------------------ *)

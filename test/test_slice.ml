@@ -111,7 +111,7 @@ let test_island_cone () =
           Alcotest.(check int) "Q frozen at K0" 0 locs.(1);
           Alcotest.(check int) "goal zone dimension" 3 (Dbm.dim goal_zone)
       | _ -> Alcotest.fail "goal should be reachable")
-    [ Reach.Off; Reach.Coi; Reach.CoiMerge ]
+    [ Reach.Off; Reach.CoiMerge ]
 
 let test_island_lint_cone () =
   let net, _, _, _ = island_net () in
@@ -159,16 +159,10 @@ let test_twin_merge () =
     (Array.length snet.Network.clock_names);
   Alcotest.(check (option int)) "y maps to x's slot" (Slice.map_clock sl x)
     (Slice.map_clock sl y);
-  (* Coi alone must not merge *)
-  let sl', _, _ = Reach.slice_query Reach.Coi ~extra_clocks:[ y ] net at in
-  Alcotest.(check bool) "coi keeps both" true (sl'.Slice.merged = []);
   (* sup over the merged-away clock still answers, identically *)
-  let base = sup_fp ~slicing:Reach.Off net ~at ~clock:y () in
-  List.iter
-    (fun slicing ->
-      Alcotest.(check string) "sup y unchanged" base
-        (sup_fp ~slicing net ~at ~clock:y ()))
-    [ Reach.Coi; Reach.CoiMerge ];
+  Alcotest.(check string) "sup y unchanged"
+    (sup_fp ~slicing:Reach.Off net ~at ~clock:y ())
+    (sup_fp ~slicing:Reach.CoiMerge net ~at ~clock:y ());
   (* the unmapped goal zone must pin the merged clocks equal *)
   match Reach.reach ~slicing:Reach.CoiMerge net at with
   | Reach.Reachable { goal_zone; _ } ->
@@ -325,8 +319,8 @@ let check_net_differential name net =
                       (verdict
                          (Reach.reach ~slicing ~abstraction ~domains:d net q)))
                   [
-                    (Reach.Coi, Reach.ExtraLU, 1);
-                    (Reach.Coi, Reach.LuSim, 1);
+                    (Reach.Off, Reach.LuSim, 1);
+                    (Reach.Off, Reach.ExtraLU, 4);
                     (Reach.CoiMerge, Reach.ExtraLU, 1);
                     (Reach.CoiMerge, Reach.LuSim, 1);
                     (Reach.CoiMerge, Reach.ExtraLU, 4);
@@ -343,7 +337,7 @@ let check_net_differential name net =
                   base
                   (sup_fp ~slicing ~abstraction ~domains:d net ~at ~clock:x ()))
               [
-                (Reach.Coi, Reach.ExtraLU, 1);
+                (Reach.Off, Reach.LuSim, 1);
                 (Reach.CoiMerge, Reach.ExtraLU, 1);
                 (Reach.CoiMerge, Reach.LuSim, 1);
                 (Reach.CoiMerge, Reach.ExtraLU, 4);
@@ -378,27 +372,18 @@ let test_examples_differential () =
         (fun i q ->
           match q with
           | E.Reach_q q ->
-              let base = verdict (Reach.reach ~slicing:Reach.Off net q) in
-              List.iter
-                (fun slicing ->
-                  Alcotest.(check string)
-                    (Printf.sprintf "%s query %d" file i)
-                    base
-                    (verdict (Reach.reach ~slicing net q)))
-                [ Reach.Coi; Reach.CoiMerge ]
+              Alcotest.(check string)
+                (Printf.sprintf "%s query %d" file i)
+                (verdict (Reach.reach ~slicing:Reach.Off net q))
+                (verdict (Reach.reach ~slicing:Reach.CoiMerge net q))
           | E.Sup_q { clock; at } ->
-              let base =
+              let sup slicing =
                 sup_fp ~initial_ceiling:1_000_000 ~max_ceiling:(1 lsl 40)
-                  ~slicing:Reach.Off net ~at ~clock ()
+                  ~slicing net ~at ~clock ()
               in
-              List.iter
-                (fun slicing ->
-                  Alcotest.(check string)
-                    (Printf.sprintf "%s sup query %d" file i)
-                    base
-                    (sup_fp ~initial_ceiling:1_000_000 ~max_ceiling:(1 lsl 40)
-                       ~slicing net ~at ~clock ()))
-                [ Reach.Coi; Reach.CoiMerge ]
+              Alcotest.(check string)
+                (Printf.sprintf "%s sup query %d" file i)
+                (sup Reach.Off) (sup Reach.CoiMerge)
           | E.Deadlock_q -> ())
         queries)
     [ "fischer.ta"; "train_gate.ta"; "two_phase.ta" ]
@@ -423,7 +408,7 @@ let test_radionav_differential () =
                 (Printf.sprintf "%s/%s" scen req)
                 expected v
           | _ -> Alcotest.failf "%s/%s: expected exact WCRT" scen req)
-        [ Reach.Off; Reach.Coi; Reach.CoiMerge ])
+        [ Reach.Off; Reach.CoiMerge ])
     [ ("AddressLookup", "E2E", 79_075); ("HandleTMC", "TMC", 172_106) ]
 
 (* ------------------------------------------------------------------ *)
@@ -520,14 +505,13 @@ let test_random_island =
         let q = Query.with_guard at (Guard.clock_ge 1 c) in
         let base = verdict (Reach.reach ~slicing:Reach.Off net q) in
         List.iter
-          (fun slicing ->
-            List.iter
-              (fun abstraction ->
-                if
-                  verdict (Reach.reach ~slicing ~abstraction net q) <> base
-                then ok := false)
-              [ Reach.ExtraLU; Reach.LuSim ])
-          [ Reach.Coi; Reach.CoiMerge ];
+          (fun abstraction ->
+            if
+              verdict
+                (Reach.reach ~slicing:Reach.CoiMerge ~abstraction net q)
+              <> base
+            then ok := false)
+          [ Reach.ExtraLU; Reach.LuSim ];
         (* the oracle: a concrete state of the ORIGINAL network hitting
            the goal forces the sliced verdict to be reachable *)
         let concretely_hit =

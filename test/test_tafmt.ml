@@ -246,7 +246,7 @@ query sup x at P.b
           expect "sup" (fun () ->
               ignore (Ita_mc.Wcrt.sup ~slicing net ~at ~clock))
       | _ -> Alcotest.fail "expected a reach and a sup query")
-    [ Ita_mc.Reach.Off; Ita_mc.Reach.Coi; Ita_mc.Reach.CoiMerge ]
+    [ Ita_mc.Reach.Off; Ita_mc.Reach.CoiMerge ]
 
 (* tests run from _build/default/test under dune, or from the repo root
    when the executable is invoked directly *)

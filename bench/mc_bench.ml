@@ -82,11 +82,6 @@ let certify_sup net ~at ~clock =
       net ~at ~clock
   with
   | Wcrt.Sup { value; kind; stats } ->
-      let kind =
-        match kind with
-        | Wcrt.Attained -> Cert.Attained
-        | Wcrt.Approached -> Cert.Approached
-      in
       let qc =
         Cert_emit.of_snapshot ~index:0
           ~verdict:(Cert.Sup { clock; value; kind })

@@ -111,21 +111,24 @@ let run_wcrt combo column scenario requirement order seed budget probe_start_ms
     abstraction domains slicing certify cert_out =
   let order = seeded_order order seed in
   let sys = R.system combo column in
-  let method_ =
+  (* a state budget switches to structured testing, which probes
+     depth-first unless another order was asked for *)
+  let method_, order =
     match budget with
-    | None -> Analyze.Exhaustive
-    | Some states ->
-        Analyze.Structured_testing
-          {
-            order = (match order with Reach.Bfs -> Reach.Dfs | o -> o);
-            budget = Reach.states states;
-            start = Units.us_of_ms probe_start_ms;
-            step = Units.us_of_ms 10.0;
-          }
+    | None -> (Analyze.Exhaustive, order)
+    | Some _ ->
+        ( Analyze.Structured_testing
+            {
+              start = Units.us_of_ms probe_start_ms;
+              step = Units.us_of_ms 10.0;
+            },
+          if order = Reach.Bfs then Reach.Dfs else order )
   in
   let r =
-    Analyze.wcrt ~method_ ~order ~abstraction ?domains ~slicing ~certify
-      ?cert_out sys ~scenario ~requirement
+    Analyze.wcrt ~method_ ~order
+      ?budget:(Option.map Reach.states budget)
+      ~abstraction ?domains ~slicing ~certify ?cert_out sys ~scenario
+      ~requirement
   in
   Format.printf "%s %s/%s [%s]: uncontended %a ms, wcrt %a ms (%d states, %.2fs)@."
     (match combo with R.Cv_tmc -> "cv" | R.Al_tmc -> "al")
@@ -209,24 +212,23 @@ let analyze_cell ?(force_exhaustive = false) (row : R.row) column ~budget =
       | _, "TMC" -> 172_106
       | _, _ -> 14_080
     in
-    Analyze.Structured_testing
-      {
-        order = Reach.Dfs;
-        budget = Reach.states states;
-        start;
-        (* finer steps where the answers sit a few ms above the
-           uncontended time *)
-        step = (if row.R.requirement = "TMC" then 25_000 else 5_000);
-      }
+    Analyze.wcrt
+      ~method_:
+        (Analyze.Structured_testing
+           {
+             start;
+             (* finer steps where the answers sit a few ms above the
+                uncontended time *)
+             step = (if row.R.requirement = "TMC" then 25_000 else 5_000);
+           })
+      ~order:Reach.Dfs ~budget:(Reach.states states) sys
+      ~scenario:row.R.scenario ~requirement:row.R.requirement
   in
-  let method_ =
-    match (budget, expensive && not force_exhaustive) with
-    | Some states, _ -> probe states
-    | None, true -> probe 60_000
-    | None, false -> Analyze.Exhaustive
-  in
-  Analyze.wcrt ~method_ sys ~scenario:row.R.scenario
-    ~requirement:row.R.requirement
+  match (budget, expensive && not force_exhaustive) with
+  | Some states, _ -> probe states
+  | None, true -> probe 60_000
+  | None, false ->
+      Analyze.wcrt sys ~scenario:row.R.scenario ~requirement:row.R.requirement
 
 let run_table1 columns budget rows_filter full =
   let columns =
@@ -393,81 +395,6 @@ let show_model_cmd =
     (Cmd.info "show-model"
        ~doc:"print the generated timed-automata network (Figures 4-9)")
     Term.(const run_show_model $ combo_arg $ column_arg $ measure)
-
-(* ------------------------------------------------------------------ *)
-(* sweep (extension: the parameter sweep the paper says UPPAAL lacks)  *)
-(* ------------------------------------------------------------------ *)
-
-let run_sweep combo column kbps_list budget =
-  Format.printf
-    "HandleTMC WCRT (ms) vs bus bandwidth - all four techniques@.";
-  Format.printf "%8s %12s %12s %12s %12s@." "kbps" "mc" "sim" "symta" "mpa";
-  List.iter
-    (fun kbps ->
-      let base = R.system combo column in
-      let resources =
-        List.map
-          (fun (r : Resource.t) ->
-            if Resource.is_link r then
-              Resource.link r.Resource.name ~kbps
-                ~policy:r.Resource.policy
-            else r)
-          base.Sysmodel.resources
-      in
-      let sys = { base with Sysmodel.resources } in
-      let mc =
-        let method_ =
-          match budget with
-          | None -> Analyze.Exhaustive
-          | Some states ->
-              Analyze.Structured_testing
-                {
-                  order = Reach.Dfs;
-                  budget = Reach.states states;
-                  start = 100_000;
-                  step = 25_000;
-                }
-        in
-        let r =
-          Analyze.wcrt ~method_ sys ~scenario:"HandleTMC" ~requirement:"TMC"
-        in
-        Format.asprintf "%a" Analyze.pp_outcome r.Analyze.outcome
-      in
-      let sim =
-        Format.asprintf "%a" Units.pp_ms
-          (Ita_sim.Engine.max_response ~runs:5 ~horizon_us:30_000_000 sys
-             ~scenario:"HandleTMC" ~requirement:"TMC")
-      in
-      let bound_cell b =
-        match b with
-        | Ok v -> Format.asprintf "%a" Units.pp_ms v
-        | Error _ -> "diverged"
-      in
-      let symta =
-        bound_cell
-          (Ita_symta.Sysanalysis.wcrt_bound sys ~scenario:"HandleTMC"
-             ~requirement:"TMC")
-      in
-      let mpa =
-        bound_cell
-          (Ita_rtc.Gpc.wcrt_bound sys ~scenario:"HandleTMC" ~requirement:"TMC")
-      in
-      Format.printf "%8.0f %12s %12s %12s %12s@." kbps mc sim symta mpa)
-    kbps_list
-
-let sweep_cmd =
-  let kbps =
-    Arg.(
-      value
-      & opt (list float) [ 48.0; 60.0; 72.0; 96.0; 120.0 ]
-      & info [ "kbps" ] ~doc:"bus bandwidths to sweep")
-  in
-  Cmd.v
-    (Cmd.info "sweep"
-       ~doc:
-         "bus-bandwidth design-space sweep with all four techniques (the \
-          parameter sweep the paper notes UPPAAL could not do)")
-    Term.(const run_sweep $ combo_arg $ column_arg $ kbps $ budget_arg)
 
 (* ------------------------------------------------------------------ *)
 (* explore: design-space exploration over architecture candidates      *)
@@ -861,7 +788,6 @@ let () =
             table2_cmd;
             simulate_cmd;
             show_model_cmd;
-            sweep_cmd;
             explore_cmd;
             lint_cmd;
             ablation_cmd;

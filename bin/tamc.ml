@@ -191,11 +191,6 @@ let run_check path order budget trace domains abstraction slicing cert_out =
                       Reach.pp_stats stats;
                     match !last_snap with
                     | Some s ->
-                        let kind =
-                          match kind with
-                          | Wcrt.Attained -> Cert.Attained
-                          | Wcrt.Approached -> Cert.Approached
-                        in
                         certify
                           ~goal:(Cert_emit.goal_of_query at)
                           (Cert_emit.of_snapshot ~index:i

@@ -20,19 +20,17 @@ let () =
   List.iter
     (fun column ->
       let sys = R.system R.Al_tmc column in
-      let method_ =
+      let r =
         match column with
-        | R.Po | R.Pno | R.Sp -> Analyze.Exhaustive
+        | R.Po | R.Pno | R.Sp ->
+            Analyze.wcrt sys ~scenario:"HandleTMC" ~requirement:"TMC"
         | R.Pj | R.Bur ->
-            Analyze.Structured_testing
-              {
-                order = Reach.Dfs;
-                budget = Reach.states 150_000;
-                start = 172_106;
-                step = 25_000;
-              }
+            Analyze.wcrt
+              ~method_:
+                (Analyze.Structured_testing { start = 172_106; step = 25_000 })
+              ~order:Reach.Dfs ~budget:(Reach.states 150_000) sys
+              ~scenario:"HandleTMC" ~requirement:"TMC"
       in
-      let r = Analyze.wcrt ~method_ sys ~scenario:"HandleTMC" ~requirement:"TMC" in
       Format.printf "  %-4s: %10s ms  (%d states, %.2fs)@."
         (R.column_name column)
         (Format.asprintf "%a" Analyze.pp_outcome r.Analyze.outcome)

@@ -1,6 +1,7 @@
 (* The paper's Table 2 in miniature: one requirement (HandleTMC next
    to AddressLookup, pno), four techniques — exhaustive model checking,
-   discrete-event simulation, busy-window analysis, real-time calculus.
+   discrete-event simulation, busy-window analysis, real-time calculus —
+   each run as one design-space job.
 
    The expected shape (paper Section 5): simulation finds less than the
    model checker (it samples behaviors), the analytic techniques find
@@ -10,49 +11,36 @@
 
 open Ita_core
 module R = Ita_casestudy.Radionav
-
-let scenario = "HandleTMC"
-let requirement = "TMC"
+module Job = Ita_dse.Job
 
 let () =
   let sys = R.system R.Al_tmc R.Pno in
-
-  (* 1. model checking: exact *)
-  let mc =
-    let r = Analyze.wcrt sys ~scenario ~requirement in
-    match r.Analyze.outcome with
-    | Analyze.Exact_wcrt v -> v
-    | Analyze.Wcrt_lower_bound v -> v
-    | Analyze.No_response -> 0
+  (* 20 simulation seeds of 60 s each *)
+  let budget =
+    { Job.default_budget with Job.sim_runs = 20; sim_horizon_us = 60_000_000 }
   in
-
-  (* 2. simulation: max over sampled schedules *)
-  let sim =
-    let worst = ref 0 in
-    for seed = 1 to 20 do
-      let stats = Ita_sim.Engine.run ~seed ~horizon_us:60_000_000 sys in
-      List.iter
-        (fun (s : Ita_sim.Engine.sample) ->
-          if s.Ita_sim.Engine.scenario = scenario
-             && s.Ita_sim.Engine.requirement = requirement
-          then worst := max !worst s.Ita_sim.Engine.response_us)
-        stats.Ita_sim.Engine.samples
-    done;
-    !worst
+  let wcrt technique =
+    let r =
+      Job.run
+        {
+          Job.sys;
+          technique;
+          scenario = "HandleTMC";
+          requirement = "TMC";
+          budget;
+        }
+    in
+    match Job.measure_us r.Job.measure with
+    | Some v -> v
+    | None ->
+        failwith
+          (Format.asprintf "%s: %a" (Job.technique_name technique)
+             Job.pp_measure r.Job.measure)
   in
-
-  (* 3. busy-window analysis: conservative *)
-  let symta =
-    let t = Ita_symta.Sysanalysis.analyze sys in
-    Ita_symta.Sysanalysis.wcrt t sys ~scenario ~requirement
-  in
-
-  (* 4. real-time calculus: conservative *)
-  let mpa =
-    let t = Ita_rtc.Gpc.analyze sys in
-    Ita_rtc.Gpc.wcrt t sys ~scenario ~requirement
-  in
-
+  let mc = wcrt Job.Mc in
+  let sim = wcrt Job.Sim in
+  let symta = wcrt Job.Symta in
+  let mpa = wcrt Job.Rtc in
   Format.printf "HandleTMC worst-case response time, four ways:@.";
   Format.printf "  simulation (20 seeds) : %a ms@." Units.pp_ms sim;
   Format.printf "  model checking        : %a ms  (exact)@." Units.pp_ms mc;

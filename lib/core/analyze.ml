@@ -3,17 +3,14 @@ open Ita_mc
 type method_ =
   | Exhaustive
   | Binary of { hi : int }
-  | Structured_testing of {
-      order : Reach.order;
-      budget : Reach.budget;
-      start : int;
-      step : int;
-    }
+  | Structured_testing of { start : int; step : int }
 
 type outcome =
   | Exact_wcrt of int
   | Wcrt_lower_bound of int
+  | Unbounded of int
   | No_response
+  | No_verdict
 
 type result = {
   outcome : outcome;
@@ -23,8 +20,9 @@ type result = {
   certified : (Ita_cert.Cert.stats, Ita_cert.Cert.failure) Stdlib.result option;
 }
 
-let wcrt ?(method_ = Exhaustive) ?order ?abstraction ?reduction:_ ?bounds:_
-    ?domains ?slicing ?(certify = false) ?cert_out sys ~scenario ~requirement =
+let wcrt ?(method_ = Exhaustive) ?order ?budget ?abstraction ?reduction:_
+    ?bounds:_ ?domains ?slicing ?(certify = false) ?cert_out sys ~scenario
+    ~requirement =
   let s = Sysmodel.scenario sys scenario in
   let req = Scenario.requirement s requirement in
   let gen = Gen.generate ~measure:(scenario, req) sys in
@@ -45,61 +43,54 @@ let wcrt ?(method_ = Exhaustive) ?order ?abstraction ?reduction:_ ?bounds:_
     if want_cert then Some (fun s -> snap_ref := Some s) else None
   in
   let qcert = ref None in
+  let of_stats outcome (s : Reach.stats) =
+    (outcome, s.Reach.explored, s.Reach.elapsed)
+  in
+  let searched outcome (r : Wcrt.search_result) =
+    (outcome, r.Wcrt.total_explored, r.Wcrt.total_elapsed)
+  in
   let outcome, explored, elapsed =
     match method_ with
     | Exhaustive -> (
         match
-          Wcrt.sup ?order ?abstraction ?domains ?slicing ?snap
+          Wcrt.sup ?order ?budget ?abstraction ?domains ?slicing ?snap
             ~initial_ceiling:(max 4 (4 * uncontended_us))
             gen.Gen.net ~at ~clock
         with
         | Wcrt.Sup { value; kind; stats } ->
-            (match !snap_ref with
-            | Some snapshot ->
-                let kind =
-                  match kind with
-                  | Wcrt.Attained -> Ita_cert.Cert.Attained
-                  | Wcrt.Approached -> Ita_cert.Cert.Approached
-                in
-                qcert :=
-                  Some
-                    (Cert_emit.of_snapshot ~index:0
-                       ~verdict:(Ita_cert.Cert.Sup { clock; value; kind })
-                       snapshot)
-            | None -> ());
-            (Exact_wcrt value, stats.Reach.explored, stats.Reach.elapsed)
-        | Wcrt.Goal_unreachable stats ->
-            (No_response, stats.Reach.explored, stats.Reach.elapsed)
-        | Wcrt.Sup_budget_exhausted { observed; stats } ->
-            ( (match observed with
-              | Some v -> Wcrt_lower_bound v
-              | None -> No_response),
-              stats.Reach.explored,
-              stats.Reach.elapsed )
+            qcert :=
+              Option.map
+                (Cert_emit.of_snapshot ~index:0
+                   ~verdict:(Ita_cert.Cert.Sup { clock; value; kind }))
+                !snap_ref;
+            of_stats (Exact_wcrt value) stats
+        | Wcrt.Goal_unreachable stats -> of_stats No_response stats
+        | Wcrt.Sup_budget_exhausted { observed = Some v; stats } ->
+            of_stats (Wcrt_lower_bound v) stats
+        | Wcrt.Sup_budget_exhausted { observed = None; stats } ->
+            of_stats No_verdict stats
         | Wcrt.Sup_unbounded { ceiling; stats } ->
-            (Wcrt_lower_bound ceiling, stats.Reach.explored, stats.Reach.elapsed)
-        )
+            of_stats (Unbounded ceiling) stats)
     | Binary { hi } -> (
         let r =
-          Wcrt.binary_search ?order ?abstraction ?domains ?slicing ~hi
+          Wcrt.binary_search ?order ?budget ?abstraction ?domains ?slicing ~hi
             gen.Gen.net ~at ~clock
         in
         match (r.Wcrt.lower, r.Wcrt.upper) with
-        | Some l, Some u when u = l + 1 ->
-            (Exact_wcrt l, r.Wcrt.total_explored, r.Wcrt.total_elapsed)
-        | Some l, _ ->
-            (Wcrt_lower_bound l, r.Wcrt.total_explored, r.Wcrt.total_elapsed)
-        | None, Some _ -> (No_response, r.Wcrt.total_explored, r.Wcrt.total_elapsed)
-        | None, None -> (No_response, r.Wcrt.total_explored, r.Wcrt.total_elapsed)
-        )
-    | Structured_testing { order; budget; start; step } -> (
+        | Some l, Some u when u = l + 1 -> searched (Exact_wcrt l) r
+        | Some l, _ -> searched (Wcrt_lower_bound l) r
+        | None, Some _ -> searched No_response r
+        | None, None -> searched No_verdict r)
+    | Structured_testing { start; step } -> (
         let r =
-          Wcrt.probe_lower ~order ?abstraction ?domains ?slicing gen.Gen.net
-            ~at ~clock ~budget ~start ~step
+          Wcrt.probe_lower ?order ?budget ?abstraction ?domains ?slicing
+            gen.Gen.net ~at ~clock ~start ~step
         in
+        (* no counterexample at [start] says nothing about whether a
+           response occurs at all *)
         match r.Wcrt.lower with
-        | Some l -> (Wcrt_lower_bound l, r.Wcrt.total_explored, r.Wcrt.total_elapsed)
-        | None -> (No_response, r.Wcrt.total_explored, r.Wcrt.total_elapsed))
+        | Some l -> searched (Wcrt_lower_bound l) r
+        | None -> searched No_verdict r)
   in
   let certified =
     match !qcert with
@@ -121,7 +112,9 @@ let wcrt ?(method_ = Exhaustive) ?order ?abstraction ?reduction:_ ?bounds:_
 let pp_outcome ppf = function
   | Exact_wcrt us -> Units.pp_ms ppf us
   | Wcrt_lower_bound us -> Format.fprintf ppf "> %a" Units.pp_ms us
+  | Unbounded _ -> Format.pp_print_string ppf "unbounded"
   | No_response -> Format.pp_print_string ppf "-"
+  | No_verdict -> Format.pp_print_string ppf "?"
 
 type verdict = Met | Violated | Unknown
 
@@ -141,7 +134,7 @@ let check_budgets ?method_ ?order ?abstraction ?domains ?slicing
         (fun (req : Scenario.requirement) ->
           match req.Scenario.budget_us with
           | None -> None
-          | Some budget ->
+          | Some budget_us ->
               let r =
                 wcrt ?method_ ?order ?abstraction ?domains ?slicing sys
                   ~scenario:s.Scenario.name
@@ -149,16 +142,16 @@ let check_budgets ?method_ ?order ?abstraction ?domains ?slicing
               in
               let verdict =
                 match r.outcome with
-                | Exact_wcrt v -> if v < budget then Met else Violated
-                | Wcrt_lower_bound v ->
-                    if v >= budget then Violated else Unknown
-                | No_response -> Unknown
+                | Exact_wcrt v -> if v < budget_us then Met else Violated
+                | Wcrt_lower_bound v | Unbounded v ->
+                    if v >= budget_us then Violated else Unknown
+                | No_response | No_verdict -> Unknown
               in
               Some
                 {
                   scenario_name = s.Scenario.name;
                   requirement_name = req.Scenario.req_name;
-                  budget_us = budget;
+                  budget_us;
                   wcrt = r.outcome;
                   verdict;
                 })

@@ -1,5 +1,7 @@
 (** End-to-end analysis driver: architecture model in, worst-case
-    response times out.
+    response times out.  This is the one place that turns (system,
+    scenario, requirement) into a model-checked WCRT: [ranav], the
+    design-space jobs ({!Ita_dse.Job}) and the examples all call it.
 
     [Exhaustive] explores the full zone graph and returns the exact
     WCRT (a sup-query over the observer clock at [seen], equivalent to
@@ -14,17 +16,23 @@ open Ita_mc
 type method_ =
   | Exhaustive
   | Binary of { hi : int }  (** the paper's actual strategy *)
-  | Structured_testing of {
-      order : Reach.order;
-      budget : Reach.budget;
-      start : int;
-      step : int;
-    }
+  | Structured_testing of { start : int; step : int }
+      (** probe [start], [start + step], ... while a counterexample is
+          found; pass [~order:Dfs] (or [Random_dfs]) and a [~budget]
+          for the paper's structured testing *)
 
 type outcome =
   | Exact_wcrt of int  (** microseconds; attained *)
   | Wcrt_lower_bound of int  (** microseconds; search was budgeted *)
+  | Unbounded of int
+      (** the sup still reached the largest extrapolation ceiling
+          tried, whose value (microseconds) is given: a response at
+          least this long is reachable *)
   | No_response  (** the measured response never occurs *)
+  | No_verdict
+      (** the search ended without a response: the budget ran out
+          first, or no probe found a counterexample.  Says nothing
+          about whether the response occurs. *)
 
 type result = {
   outcome : outcome;
@@ -41,6 +49,7 @@ type result = {
 val wcrt :
   ?method_:method_ ->
   ?order:Reach.order ->
+  ?budget:Reach.budget ->
   ?abstraction:Reach.abstraction ->
   ?reduction:Reach.reduction ->
   ?bounds:Reach.bounds ->
@@ -54,6 +63,11 @@ val wcrt :
   result
 (** [wcrt sys ~scenario ~requirement] builds the measured network and
     extracts the WCRT.  Default method is [Exhaustive] with BFS.
+
+    [?budget] (default unlimited) caps every exploration of every
+    method: the sup-query, each binary-search step, each probe.  The
+    exhaustive sup-query starts its extrapolation ceiling at four times
+    the uncontended response time.
 
     [?certify] (default [false]) re-validates an [Exact_wcrt] verdict
     with the independent certificate checker, in process, and reports
@@ -69,7 +83,7 @@ val wcrt :
 
 val pp_outcome : Format.formatter -> outcome -> unit
 (** Table-style: "357.133" for exact values, "> 400.000" for lower
-    bounds, "-" for no response. *)
+    bounds, "unbounded", "-" for no response, "?" for no verdict. *)
 
 type verdict = Met | Violated | Unknown
 
@@ -83,7 +97,7 @@ type budget_report = {
 
 val check_budgets :
   ?method_:method_ ->
-  ?order:Ita_mc.Reach.order ->
+  ?order:Reach.order ->
   ?abstraction:Reach.abstraction ->
   ?domains:int ->
   ?slicing:Reach.slicing ->
@@ -92,7 +106,8 @@ val check_budgets :
 (** The paper's framing — "does the product work, given a set of hard
     resource restrictions?" — as one call: analyze every requirement
     that declares a budget and compare.  A lower bound at or above the
-    budget is already a [Violated]; a lower bound below it proves
-    nothing, hence [Unknown]. *)
+    budget is already a [Violated] (so is an [Unbounded] ceiling at or
+    above it); a lower bound below it proves nothing, hence [Unknown],
+    as do [No_response] and [No_verdict]. *)
 
 val pp_budget_report : Format.formatter -> budget_report -> unit

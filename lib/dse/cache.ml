@@ -15,7 +15,7 @@ let dir t = t.dir
 
 (* bump when Job.result or the key fields change shape: old entries
    become misses *)
-let version = "ita-dse-v8"
+let version = "ita-dse-v9"
 
 let job_key (spec : Job.spec) =
   let b = spec.Job.budget in

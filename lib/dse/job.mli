@@ -65,9 +65,12 @@ type measure =
   | Exact of int  (** microseconds; the true WCRT *)
   | Lower of int  (** microseconds; a sound lower bound *)
   | Upper of int  (** microseconds; a sound upper bound *)
-  | Unbounded  (** mc: the measured clock is unbounded at the goal *)
+  | Unbounded
+      (** mc: the sup reached the largest extrapolation ceiling *)
   | No_response  (** the measured window never completes *)
-  | Failed of string  (** diverged / budget exhausted with nothing seen *)
+  | Failed of string
+      (** diverged, budget exhausted with nothing seen, or (mc) the
+          certificate was rejected *)
 
 val measure_us : measure -> int option
 (** The comparable value of [Exact]/[Lower]/[Upper]; [None] otherwise. *)
@@ -77,10 +80,13 @@ type result = { measure : measure; elapsed : float; explored : int }
     iterations (symta/rtc). *)
 
 val run : spec -> result
-(** Execute the job in the calling process.  Never raises on analysis
-    failure ([Failed] instead); unknown scenario/requirement names
-    still raise [Not_found] — those are caller bugs, not candidate
-    properties. *)
+(** Execute the job in the calling process.  [Mc] is one exhaustive
+    {!Ita_core.Analyze.wcrt} call under the budget's caps and knobs —
+    the same sup-query, extrapolation ceiling and certificate check as
+    [ranav wcrt] — with its outcome mapped one to one onto a
+    {!measure}.  Never raises on analysis failure ([Failed] instead);
+    unknown scenario/requirement names still raise [Not_found] — those
+    are caller bugs, not candidate properties. *)
 
 val pp_measure : Format.formatter -> measure -> unit
 (** Table-style: "79.075" exact, ">=79.075" lower, "<=81.200" upper. *)

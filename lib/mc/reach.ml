@@ -573,7 +573,7 @@ type snapshot = {
   snap_passed : (Semantics.state * Dbm.t list) list;
 }
 
-(* Core loop shared by [reach], [explore] and [explore_passed].  [goal]
+(* Core loop shared by [reach] and [explore].  [goal]
    maps a fresh configuration to its non-empty goal zone when it hits
    the target; goal checking happens at state creation time so that
    counterexamples are found as early as possible (UPPAAL does the
@@ -697,23 +697,6 @@ let explore ?order ?budget ?abstraction ?domains ?(extra_bounds = []) ?snap
       | Some f -> f (xnet, dump ())
       | None -> ());
       `Complete stats
-  | Out_of_budget stats, _, _ -> `Budget_exhausted stats
-
-let explore_passed ?order ?budget ?abstraction ?domains ?(extra_bounds = [])
-    net =
-  let net =
-    List.fold_left
-      (fun net (x, c) -> Network.bump_clock_bound net x c)
-      net extra_bounds
-  in
-  match
-    run ?order ?budget ?abstraction ?domains net
-      ~goal:(fun _ -> None)
-      ~on_store:(fun _ -> ())
-      ()
-  with
-  | Goal_found _, _, _ -> assert false
-  | Space_exhausted stats, dump, _ -> `Complete (dump (), stats)
   | Out_of_budget stats, _, _ -> `Budget_exhausted stats
 
 let pp_stats ppf s =

@@ -225,23 +225,5 @@ val explore :
     bumped) network and the sorted passed list; callers that slice
     themselves ({!Wcrt.sup}) assemble the full {!snapshot} from it. *)
 
-val explore_passed :
-  ?order:order ->
-  ?budget:budget ->
-  ?abstraction:abstraction ->
-  ?domains:int ->
-  ?extra_bounds:(Guard.clock * int) list ->
-  Network.t ->
-  [ `Complete of (Semantics.state * Semantics.Dbm.t list) list * stats
-  | `Budget_exhausted of stats ]
-(** Like {!explore} but returns the final passed list: per interned
-    discrete state, the antichain of maximal zones stored for it.
-    Entries are sorted by discrete state and each antichain by
-    {!Ita_dbm.Dbm.compare}, so under subset subsumption
-    ([ExtraLU]) a complete exploration's output is
-    byte-identical at any domain count.  Under [LuSim] contents are
-    only canonical up to mutual a◁LU simulation (see {!stats.stored});
-    the test layer checks two-way simulation coverage instead. *)
-
 val pp_stats : Format.formatter -> stats -> unit
 val pp_witness : Network.t -> Format.formatter -> step list -> unit

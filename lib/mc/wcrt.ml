@@ -2,7 +2,7 @@ open Ita_ta
 module Dbm = Ita_dbm.Dbm
 module Bound = Ita_dbm.Bound
 
-type bound_kind = Attained | Approached
+type bound_kind = Ita_cert.Cert.sup_kind = Attained | Approached
 
 type sup_result =
   | Sup of { value : int; kind : bound_kind; stats : Reach.stats }
@@ -172,7 +172,7 @@ let binary_search ?order ?budget ?abstraction ?domains ?slicing
     result (Some !lo) (Some !up)
   with Stop r -> r
 
-let probe_lower ?order ?abstraction ?domains ?slicing net ~at ~clock ~budget
+let probe_lower ?order ?budget ?abstraction ?domains ?slicing net ~at ~clock
     ~start ~step =
   let runs = ref 0 and explored = ref 0 and elapsed = ref 0.0 in
   let note (s : Reach.stats) =
@@ -185,7 +185,7 @@ let probe_lower ?order ?abstraction ?domains ?slicing net ~at ~clock ~budget
   let continue = ref true in
   while !continue do
     match
-      check ?order ?abstraction ?domains ?slicing ~budget net at clock !c
+      check ?order ?budget ?abstraction ?domains ?slicing net at clock !c
     with
     | Reach.Reachable { stats; _ } ->
         note stats;

@@ -19,9 +19,11 @@
 
 open Ita_ta
 
-type bound_kind = Attained | Approached
+type bound_kind = Ita_cert.Cert.sup_kind = Attained | Approached
 (** [Attained]: the sup is a reachable value ([y <= c] weakly).
-    [Approached]: the sup is a limit ([y < c] strictly). *)
+    [Approached]: the sup is a limit ([y < c] strictly).  The same type
+    as the certificate's, so a verdict goes into {!Ita_cert.Cert.Sup}
+    as is. *)
 
 type sup_result =
   | Sup of { value : int; kind : bound_kind; stats : Reach.stats }
@@ -90,13 +92,13 @@ val binary_search :
 
 val probe_lower :
   ?order:Reach.order ->
+  ?budget:Reach.budget ->
   ?abstraction:Reach.abstraction ->
   ?domains:int ->
   ?slicing:Reach.slicing ->
   Network.t ->
   at:Query.t ->
   clock:Guard.clock ->
-  budget:Reach.budget ->
   start:int ->
   step:int ->
   search_result

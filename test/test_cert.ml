@@ -136,11 +136,6 @@ let sup_cert ?(abstraction = Reach.ExtraLU) ?(slicing = Reach.Off)
       net ~at ~clock
   with
   | Wcrt.Sup { value; kind; _ } -> (
-      let kind =
-        match kind with
-        | Wcrt.Attained -> Cert.Attained
-        | Wcrt.Approached -> Cert.Approached
-      in
       match !snap with
       | Some s ->
           Some

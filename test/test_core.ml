@@ -266,6 +266,34 @@ let test_analyze_binary_search_agrees () =
       Alcotest.(check int) "sup = binary search" a b
   | _ -> Alcotest.fail "expected exact results"
 
+(* A search that ends without seeing a response has no verdict; it must
+   never print as "the response never occurs" ("-"). *)
+let test_analyze_no_verdict () =
+  let sys = showdown_system Resource.Priority_preemptive in
+  let outcome ?budget method_ =
+    let r =
+      Analyze.wcrt ~method_ ~order:Ita_mc.Reach.Dfs ?budget sys ~scenario:"Hi"
+        ~requirement:"r"
+    in
+    Format.asprintf "%a" Analyze.pp_outcome r.Analyze.outcome
+  in
+  let one_state = Ita_mc.Reach.states 1 in
+  List.iter
+    (fun (name, got) -> Alcotest.(check string) name "?" got)
+    [
+      ( "sup-query out of budget",
+        outcome ~budget:one_state Analyze.Exhaustive );
+      ( "binary search out of budget on its first probe",
+        outcome ~budget:one_state (Analyze.Binary { hi = 4000 }) );
+      ( "structured testing out of budget on its first probe",
+        outcome ~budget:one_state
+          (Analyze.Structured_testing { start = 1000; step = 500 }) );
+      ( "structured testing with no counterexample above its start",
+        outcome (Analyze.Structured_testing { start = 3000; step = 500 }) );
+    ];
+  Alcotest.(check string) "a found counterexample is a lower bound" "> 2.000"
+    (outcome (Analyze.Structured_testing { start = 1000; step = 500 }))
+
 let test_queue_overflow_detected () =
   (* utilization 1.0: backlog grows without bound; the bounded counters
      must catch it rather than silently drop events *)
@@ -558,6 +586,8 @@ let () =
             test_analyze_binary_search_agrees;
           Alcotest.test_case "queue overflow detected" `Quick
             test_queue_overflow_detected;
+          Alcotest.test_case "no verdict is not no response" `Quick
+            test_analyze_no_verdict;
         ] );
       ( "tdma",
         [
@@ -580,7 +610,7 @@ let () =
             (fun () ->
               (* the 10 ms control loop of the scheduler example: met
                  with preemption, violated without *)
-              let report policy =
+              let report ?method_ policy =
                 let cpu = Resource.processor "CPU" ~mips:10.0 ~policy in
                 let s =
                   Scenario.make ~name:"Loop"
@@ -610,14 +640,22 @@ let () =
                   Sysmodel.make ~name:"b" ~resources:[ cpu ]
                     ~scenarios:[ s; lo ] ~queue_bound:8 ()
                 in
-                match Analyze.check_budgets sys with
+                match Analyze.check_budgets ?method_ sys with
                 | [ r ] -> r.Analyze.verdict
                 | _ -> Alcotest.fail "expected one budgeted requirement"
               in
               Alcotest.(check bool) "preemptive meets" true
                 (report Resource.Priority_preemptive = Analyze.Met);
               Alcotest.(check bool) "nonpreemptive violates" true
-                (report Resource.Priority_nonpreemptive = Analyze.Violated));
+                (report Resource.Priority_nonpreemptive = Analyze.Violated);
+              (* probing from above the 2 ms WCRT finds nothing: no
+                 verdict either way *)
+              Alcotest.(check bool) "no verdict is unknown" true
+                (report
+                   ~method_:
+                     (Analyze.Structured_testing { start = 3_000; step = 500 })
+                   Resource.Priority_preemptive
+                = Analyze.Unknown));
         ] );
       ( "segmented",
         [

@@ -306,7 +306,62 @@ let test_job_mc_exact () =
     (r.Job.measure = Job.Exact 4);
   let r = Job.run (mini_spec ~mips:2.0 ()) in
   Alcotest.(check bool) "twice the MIPS, half the WCRT" true
-    (r.Job.measure = Job.Exact 2)
+    (r.Job.measure = Job.Exact 2);
+  let spec = mini_spec () in
+  let budget = { spec.Job.budget with Job.mc_certify = true } in
+  Alcotest.(check bool) "certified, the same WCRT" true
+    ((Job.run { spec with Job.budget }).Job.measure = Job.Exact 4)
+
+(* Every mc measure a job can report, pinned on systems small enough to
+   count states by hand: the mapping from the analysis outcome to a
+   measure must stay total and lose nothing.  [No_response] has no
+   case: a window that never completes leaves its trigger releasing
+   into a bounded queue, so a generated model overflows (raising
+   [Out_of_range]) before an exploration can prove the goal
+   unreachable. *)
+let check_measure = Alcotest.check (Alcotest.testable Job.pp_measure ( = ))
+
+let test_job_mc_budgeted () =
+  (* mini explores 10 states in all and observes its first response
+     within 6 *)
+  let within states =
+    let spec = mini_spec () in
+    let budget = { spec.Job.budget with Job.mc_states = Some states } in
+    (Job.run { spec with Job.budget }).Job.measure
+  in
+  check_measure "largest response seen within 8 states" (Job.Lower 4)
+    (within 8);
+  check_measure "nothing seen within 1 state"
+    (Job.Failed "budget exhausted before any response was observed")
+    (within 1)
+
+let test_job_mc_unbounded () =
+  (* a 4 us low job released 1 us into a 10^13 us high job: its
+     response lies beyond the largest extrapolation ceiling (2^40 us) *)
+  let cpu =
+    Resource.processor "CPU" ~mips:1.0 ~policy:Resource.Priority_preemptive
+  in
+  let scenario name band ~offset ~instructions =
+    Scenario.make ~name
+      ~trigger:(Eventmodel.Periodic { period = 100_000_000_000_000; offset })
+      ~band
+      ~steps:[ Scenario.Compute { op = name; resource = "CPU"; instructions } ]
+      ~requirements:
+        [
+          { Scenario.req_name = "R"; from_step = None; to_step = 0; budget_us = None };
+        ]
+  in
+  let sys =
+    Sysmodel.make ~name:"long" ~resources:[ cpu ]
+      ~scenarios:
+        [
+          scenario "Hi" Scenario.High ~offset:0 ~instructions:1e13;
+          scenario "Lo" Scenario.Low ~offset:1 ~instructions:4.0;
+        ]
+      ~queue_bound:2 ()
+  in
+  check_measure "beyond the last ceiling" Job.Unbounded
+    (Job.run { (mini_spec ()) with Job.sys; scenario = "Lo" }).Job.measure
 
 let test_job_upper_bounds_cover () =
   List.iter
@@ -564,6 +619,8 @@ let () =
       ( "job",
         [
           Alcotest.test_case "mc exact" `Quick test_job_mc_exact;
+          Alcotest.test_case "mc budgeted" `Quick test_job_mc_budgeted;
+          Alcotest.test_case "mc unbounded" `Quick test_job_mc_unbounded;
           Alcotest.test_case "analytic upper bounds" `Quick
             test_job_upper_bounds_cover;
           Alcotest.test_case "unknown names raise" `Quick

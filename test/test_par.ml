@@ -29,9 +29,16 @@ let antichain_fp net passed =
 let resident_zones passed =
   List.fold_left (fun n (_, zones) -> n + List.length zones) 0 passed
 
+(* the final passed list: per discrete state, its antichain of zones *)
 let explore_passed_exn ?order ?budget ?abstraction ~domains net =
-  match Reach.explore_passed ?order ?budget ?abstraction ~domains net with
-  | `Complete (passed, stats) -> (passed, stats)
+  let passed = ref [] in
+  match
+    Reach.explore ?order ?budget ?abstraction ~domains
+      ~snap:(fun (_, p) -> passed := p)
+      net
+      ~on_store:(fun _ -> ())
+  with
+  | `Complete stats -> (!passed, stats)
   | `Budget_exhausted _ -> Alcotest.fail "exploration should complete"
 
 (* ------------------------------------------------------------------ *)
@@ -618,7 +625,10 @@ let test_one_domain_radionav_counts () =
 
 let test_parallel_budget () =
   let net = wide_frontier () in
-  (match Reach.explore_passed ~domains:4 ~budget:(Reach.states 1) net with
+  (match
+     Reach.explore ~domains:4 ~budget:(Reach.states 1) net
+       ~on_store:(fun _ -> ())
+   with
   | `Budget_exhausted stats ->
       Alcotest.(check int) "domains in stats" 4 stats.Reach.domains
   | `Complete _ -> Alcotest.fail "a one-state budget must exhaust")

@@ -36,40 +36,7 @@ let column_conv =
   let print ppf c = Format.pp_print_string ppf (R.column_name c) in
   Arg.conv (parse, print)
 
-(* A command-line converter over one of [Reach]'s knob parsers, printing
-   the same name the parser accepts. *)
-let knob_conv parse name =
-  Arg.conv
-    ( (fun s -> Result.map_error (fun m -> `Msg m) (parse s)),
-      fun ppf v -> Format.pp_print_string ppf (name v) )
-
-let order_conv = knob_conv Reach.parse_order Reach.order_name
-
-let abstraction_arg =
-  Arg.(
-    value
-    & opt
-        (knob_conv Reach.parse_abstraction Reach.abstraction_name)
-        Reach.ExtraLU
-    & info [ "abstraction" ]
-        ~doc:
-          "zone abstraction: extralu (default) or lusim (store \
-           unextrapolated zones, subsume with the a<|LU simulation — \
-           coarsest)")
-
-let slicing_arg =
-  Arg.(
-    value
-    & opt
-        (knob_conv Reach.parse_slicing Reach.slicing_name)
-        Reach.CoiMerge
-    & info [ "slicing" ]
-        ~doc:
-          "query-directed model reduction before exploring: coimerge \
-           (default; cone-of-influence slice plus quasi-equal clock \
-           merging) or off (oracle)")
-
-(* the parser above cannot know the seed yet; thread it in here *)
+(* the order parser cannot know the seed yet; thread it in here *)
 let seeded_order order seed =
   match order with Reach.Random_dfs _ -> Reach.Random_dfs seed | o -> o
 
@@ -84,24 +51,11 @@ let combo_arg =
 let column_arg =
   Arg.(value & opt column_conv R.Pno & info [ "column" ] ~doc:"po/pno/sp/pj/bur")
 
-let order_arg =
-  Arg.(value & opt order_conv Reach.Bfs & info [ "order" ] ~doc:"bfs/dfs/rdfs")
-
 let budget_arg =
   Arg.(
     value
     & opt (some int) None
     & info [ "budget-states" ] ~doc:"state budget for structured testing")
-
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ]
-        ~doc:
-          "worker domains for the zone exploration (default: the \
-           TAMC_DOMAINS environment variable, else the machine's core \
-           count); 1 spawns no domain and searches sequentially")
 
 (* ------------------------------------------------------------------ *)
 (* wcrt                                                                *)
@@ -135,15 +89,19 @@ let run_wcrt combo column scenario requirement order seed budget probe_start_ms
     scenario requirement (R.column_name column) Units.pp_ms
     r.Analyze.uncontended_us Analyze.pp_outcome r.Analyze.outcome
     r.Analyze.explored r.Analyze.elapsed;
-  (match cert_out with
-  | Some path when r.Analyze.certified <> None || not certify ->
-      Format.printf "wrote certificate to %s@." path
-  | _ -> ());
+  (* [Analyze.wcrt] emits a certificate only for an exhaustive exact
+     WCRT; every other outcome is a bound with no invariant behind it *)
+  let exact =
+    match (method_, r.Analyze.outcome) with
+    | Analyze.Exhaustive, Analyze.Exact_wcrt _ -> true
+    | _ -> false
+  in
+  if exact then Option.iter (Format.printf "wrote certificate to %s@.") cert_out
+  else if certify || cert_out <> None then
+    Format.printf
+      "not certified: no exact WCRT verdict to build an invariant from@.";
   match r.Analyze.certified with
-  | None ->
-      if certify then
-        Format.printf
-          "not certified: no exact WCRT verdict to build an invariant from@."
+  | None -> ()
   | Some (Ok st) ->
       Format.printf "certified (%d states, %d successor checks)@."
         st.Ita_cert.Cert.checked_states st.Ita_cert.Cert.checked_zones
@@ -188,8 +146,9 @@ let wcrt_cmd =
   Cmd.v (Cmd.info "wcrt" ~doc:"model-check one requirement")
     Term.(
       const run_wcrt $ combo_arg $ column_arg $ scenario $ requirement
-      $ order_arg $ seed_arg $ budget_arg $ probe_start $ abstraction_arg
-      $ domains_arg $ slicing_arg $ certify $ cert_out)
+      $ Knobs.order_arg $ seed_arg $ budget_arg $ probe_start
+      $ Knobs.abstraction_arg $ Knobs.domains_arg $ Knobs.slicing_arg
+      $ certify $ cert_out)
 
 (* ------------------------------------------------------------------ *)
 (* table1                                                              *)
@@ -410,7 +369,7 @@ let technique_conv =
 let run_explore combo column scenario requirement techniques mmi_mips rad_mips
     nav_mips bus_kbps decode_on jobs timeout_s cache_dir no_cache mc_states
     mc_seconds mc_abstraction mc_domains mc_slicing mc_certify
-    sim_runs sim_horizon_s inject_crash isolation =
+    sim_runs sim_horizon_s inject_crash =
   let open Ita_dse in
   let space =
     Spaces.radionav ~combo ~column ~mmi_mips ~rad_mips ~nav_mips ~bus_kbps
@@ -431,7 +390,7 @@ let run_explore combo column scenario requirement techniques mmi_mips rad_mips
     }
   in
   let report =
-    Explore.run ?isolation ?jobs ?timeout_s ?cache ~budget ?inject_crash space
+    Explore.run ?jobs ?timeout_s ?cache ~budget ?inject_crash space
       ~techniques ~scenario ~requirement
   in
   Format.printf "%a@." Explore.pp report
@@ -529,33 +488,9 @@ let explore_cmd =
       & opt (some int) None
       & info [ "mc-domains" ]
           ~doc:
-            "worker domains inside each model-checking job (default: 1 \
-             under --isolation domains, engine default otherwise)")
-  in
-  let isolation =
-    let isolation_conv =
-      let parse = function
-        | "auto" -> Ok None
-        | "fork" -> Ok (Some `Processes)
-        | "domains" -> Ok (Some `Domains)
-        | s ->
-            Error (`Msg (Printf.sprintf "unknown isolation %S (auto/fork/domains)" s))
-      in
-      let print ppf = function
-        | None -> Format.pp_print_string ppf "auto"
-        | Some `Processes -> Format.pp_print_string ppf "fork"
-        | Some `Domains -> Format.pp_print_string ppf "domains"
-      in
-      Arg.conv (parse, print)
-    in
-    Arg.(
-      value & opt isolation_conv None
-      & info [ "isolation" ]
-          ~doc:
-            "job dispatch: fork (one child process per job; required for \
-             --timeout-s and --inject-crash), domains (one shared domain \
-             pool; --timeout-s is ignored), or auto (fork when a timeout \
-             or fault injection is requested, else domains)")
+            "worker domains inside each model-checking job (default: the \
+             TAMC_DOMAINS environment variable, else the machine's core \
+             count)")
   in
   (* the shared cv/pno defaults would make the exhaustive mc jobs hit
      the paper's state-explosion cells; default to the tractable
@@ -576,9 +511,9 @@ let explore_cmd =
     Term.(
       const run_explore $ combo $ column $ scenario $ requirement
       $ techniques $ mmi $ rad $ nav $ bus $ decode_on $ jobs $ timeout
-      $ cache_dir $ no_cache $ mc_states $ mc_seconds $ abstraction_arg
-      $ mc_domains $ slicing_arg $ mc_certify $ sim_runs
-      $ sim_horizon $ inject_crash $ isolation)
+      $ cache_dir $ no_cache $ mc_states $ mc_seconds $ Knobs.abstraction_arg
+      $ mc_domains $ Knobs.slicing_arg $ mc_certify $ sim_runs
+      $ sim_horizon $ inject_crash)
 
 (* ------------------------------------------------------------------ *)
 (* lint: static analysis of the generated networks                     *)

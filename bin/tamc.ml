@@ -10,27 +10,6 @@ module Cert = Ita_cert.Cert
 module Cert_emit = Ita_mc.Cert_emit
 module E = Ita_tafmt.Elaborate
 
-(* A command-line converter over one of [Reach]'s knob parsers, printing
-   the same name the parser accepts. *)
-let knob_conv parse name =
-  Arg.conv
-    ( (fun s -> Result.map_error (fun m -> `Msg m) (parse s)),
-      fun ppf v -> Format.pp_print_string ppf (name v) )
-
-let order_conv = knob_conv Reach.parse_order Reach.order_name
-let abstraction_conv = knob_conv Reach.parse_abstraction Reach.abstraction_name
-let slicing_conv = knob_conv Reach.parse_slicing Reach.slicing_name
-
-let slicing_arg =
-  Arg.(
-    value
-    & opt slicing_conv Reach.CoiMerge
-    & info [ "slicing" ]
-        ~doc:
-          "query-directed model reduction before exploring: coimerge \
-           (default; cone-of-influence slice plus quasi-equal clock \
-           merging) or off (oracle)")
-
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ta")
 
@@ -229,31 +208,8 @@ let check_cmd =
   let budget =
     Arg.(value & opt (some int) None & info [ "budget-states" ] ~doc:"state cap")
   in
-  let order =
-    Arg.(value & opt order_conv Reach.Bfs & info [ "order" ] ~doc:"bfs/dfs/rdfs")
-  in
   let trace =
     Arg.(value & flag & info [ "trace" ] ~doc:"print witness traces")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "domains" ]
-          ~doc:
-            "worker domains for the exploration (default: the \
-             TAMC_DOMAINS environment variable, else the machine's core \
-             count); 1 spawns no domain and searches sequentially")
-  in
-  let abstraction =
-    Arg.(
-      value
-      & opt abstraction_conv Reach.ExtraLU
-      & info [ "abstraction" ]
-          ~doc:
-            "zone abstraction: extralu (default) or lusim (store \
-             unextrapolated zones, subsume with the a<|LU simulation — \
-             coarsest)")
   in
   let cert_out =
     Arg.(
@@ -269,8 +225,9 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc:"run the queries of a .ta file")
     Term.(
-      const run_check $ file_arg $ order $ budget $ trace $ domains
-      $ abstraction $ slicing_arg $ cert_out)
+      const run_check $ file_arg $ Knobs.order_arg $ budget $ trace
+      $ Knobs.domains_arg $ Knobs.abstraction_arg $ Knobs.slicing_arg
+      $ cert_out)
 
 (* certify: re-elaborate the model from source and verify a previously
    emitted certificate with the independent checker ([Ita_cert]).
@@ -629,7 +586,7 @@ let slice_cmd =
          "report the query-directed model reduction: components, clocks \
           and variables outside each query's cone of influence, \
           quasi-equal clock merges and dead edges, with source positions")
-    Term.(const run_slice $ file_arg $ slicing_arg)
+    Term.(const run_slice $ file_arg $ Knobs.slicing_arg)
 
 let () =
   exit

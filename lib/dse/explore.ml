@@ -21,31 +21,12 @@ type report = {
   failed : int;
   rejected : int;
   workers : int;
-  isolation : [ `Processes | `Domains ];
   wall_s : float;
 }
 
-let run ?isolation ?jobs ?timeout_s ?cache ?(budget = Job.default_budget)
+let run ?isolation:_ ?jobs ?timeout_s ?cache ?(budget = Job.default_budget)
     ?inject_crash space ~techniques ~scenario ~requirement =
   if techniques = [] then invalid_arg "Explore.run: no techniques";
-  let isolation =
-    match isolation with
-    | Some i -> i
-    | None ->
-        (* per-job timeouts and fault injection need a killable child,
-           so those callers keep the forked pool; plain sweeps share
-           one domain pool and skip the fork/marshal tax *)
-        if timeout_s <> None || inject_crash <> None then `Processes
-        else `Domains
-  in
-  let budget =
-    match isolation with
-    | `Domains when budget.Job.mc_domains = None ->
-        (* the pool already parallelises across jobs; nested engine
-           parallelism would oversubscribe the cores *)
-        { budget with Job.mc_domains = Some 1 }
-    | _ -> budget
-  in
   let workers =
     match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
   in
@@ -127,12 +108,8 @@ let run ?isolation ?jobs ?timeout_s ?cache ?(budget = Job.default_budget)
   let worker (flat, spec) =
     if inject_crash = Some flat then
       (* fault injection: die without a word, like a segfaulting or
-         OOM-killed worker would.  In a domain pool there is no child
-         process to kill, so the job raises and is recorded [Crashed]
-         without taking the sweep down. *)
-      (match isolation with
-      | `Processes -> Unix._exit 66
-      | `Domains -> failwith "injected crash");
+         OOM-killed worker would *)
+      Unix._exit 66;
     Job.run spec
   in
   let to_run_arr = Array.of_list to_run in
@@ -146,9 +123,7 @@ let run ?isolation ?jobs ?timeout_s ?cache ?(budget = Job.default_budget)
     | _ -> ()
   in
   let outcomes =
-    match isolation with
-    | `Processes -> Pool.map ~jobs:workers ?timeout_s ~on_result worker to_run_arr
-    | `Domains -> Pool.map_domains ~jobs:workers ~on_result worker to_run_arr
+    Pool.map ~jobs:workers ?timeout_s ~on_result worker to_run_arr
   in
   let by_flat = Hashtbl.create 64 in
   List.iteri
@@ -211,7 +186,6 @@ let run ?isolation ?jobs ?timeout_s ?cache ?(budget = Job.default_budget)
     failed;
     rejected = List.length rejections;
     workers;
-    isolation;
     wall_s = Unix.gettimeofday () -. t0;
   }
 
@@ -295,13 +269,9 @@ let pp ppf report =
   Format.fprintf ppf " ==@,";
   Format.fprintf ppf
     "%d candidates x %d techniques = %d jobs: %d cached, %d executed (%d \
-     failed) on %d %s in %.2fs"
+     failed) on %d forked workers in %.2fs"
     n_cands n_tech (n_cands * n_tech) report.cache_hits report.executed
-    report.failed report.workers
-    (match report.isolation with
-    | `Processes -> "forked workers"
-    | `Domains -> "worker domains")
-    report.wall_s;
+    report.failed report.workers report.wall_s;
   if report.rejected > 0 then
     Format.fprintf ppf "@,%d candidate%s rejected by the lint pre-flight"
       report.rejected

@@ -31,15 +31,12 @@ type report = {
   executed : int;  (** jobs actually run in workers *)
   failed : int;  (** crashed + timed out *)
   rejected : int;  (** candidates screened out by the lint pre-flight *)
-  workers : int;
-  isolation : [ `Processes | `Domains ];
-      (** how jobs were dispatched: forked child processes or a shared
-          in-process domain pool *)
+  workers : int;  (** forked worker processes *)
   wall_s : float;
 }
 
 val run :
-  ?isolation:[ `Processes | `Domains ] ->
+  ?isolation:[ `Processes ] ->
   ?jobs:int ->
   ?timeout_s:float ->
   ?cache:Cache.t ->
@@ -50,18 +47,17 @@ val run :
   scenario:string ->
   requirement:string ->
   report
-(** [isolation] picks the pool: [`Processes] forks one child per job
-    (crash isolation, per-job [timeout_s]); [`Domains] shares one
-    in-process domain pool across jobs (no fork/marshal overhead; jobs
-    get [mc_domains = 1] unless the budget pins it, so pool and engine
-    parallelism do not multiply).  Default: [`Processes] when
-    [timeout_s] or [inject_crash] is given, else [`Domains].
+(** Every job that misses the cache runs in its own forked child
+    ({!Pool.map}): at most [jobs] (default {!Pool.default_jobs}) at a
+    time, each killed after [timeout_s] seconds (default: no limit).
+    Call it before this process spawns any domain (see {!Pool}).
 
     [inject_crash i] makes flat job [i] (candidate-major over
     techniques) kill its own worker — the fault-injection hook that
     demonstrates crash isolation end to end; a cached job ignores it.
-    Under [`Domains] the job raises instead of dying, and is recorded
-    [Crashed] all the same.
+
+    [?isolation] is ignored: jobs always run in forked workers.  It
+    stays only so the repository benchmark compiles unchanged.
     @raise Not_found on unknown scenario/requirement names.
     @raise Invalid_argument on an empty technique list. *)
 

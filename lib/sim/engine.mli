@@ -26,19 +26,17 @@ type run_stats = {
 val run :
   seed:int ->
   horizon_us:int ->
-  ?sporadic_slack:float ->
   Ita_core.Sysmodel.t ->
   run_stats
 (** Simulate until [horizon_us]; every completed requirement window of
-    every event instance contributes one sample.  [sporadic_slack]
-    stretches sporadic inter-arrival gaps by a uniform factor in
-    [1, 1 + slack] (default 0.1); 0 makes sporadic maximally dense. *)
+    every event instance contributes one sample.  Sporadic
+    inter-arrival gaps are stretched by a uniform factor in
+    [1, 1.1]. *)
 
 val max_response :
   runs:int ->
   horizon_us:int ->
   ?first_seed:int ->
-  ?sporadic_slack:float ->
   Ita_core.Sysmodel.t ->
   scenario:string ->
   requirement:string ->

@@ -47,9 +47,8 @@ let mini_space () =
 (* The in-process job tests pin the exploration to one domain, which
    spawns none: OCaml's runtime forbids Unix.fork in a process that has
    ever spawned a domain, so letting TAMC_DOMAINS parallelise these
-   would poison the fork-pool tests that run later.  The domain-pool
-   suites at the end of this file (which run after every fork) cover
-   the parallel paths. *)
+   would poison every fork-pool test.  The sweeps below keep the
+   default budget, so their forked workers cover the parallel paths. *)
 let mini_spec ?(technique = Job.Mc) ?(mips = 1.0) () =
   {
     Job.sys = mini ~mips ();
@@ -386,8 +385,8 @@ let test_job_unknown_name_raises () =
 (* Explore end to end                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let explore ?isolation ?cache ?inject_crash () =
-  Explore.run ?isolation ~jobs:2 ~timeout_s:60.0 ?cache ?inject_crash
+let explore ?cache ?inject_crash () =
+  Explore.run ~jobs:2 ~timeout_s:60.0 ?cache ?inject_crash
     (mini_space ()) ~techniques:[ Job.Mc; Job.Symta ] ~scenario:"Hi"
     ~requirement:"R"
 
@@ -472,104 +471,14 @@ let test_explore_crash_isolated () =
   Alcotest.(check bool) "wounded row still reports" true
     (Explore.row_wcrt_us (List.hd report.Explore.rows) <> None)
 
-(* ------------------------------------------------------------------ *)
-(* Domain pool (must run after every fork-based test: once a domain
-   has been spawned, the runtime forbids Unix.fork in this process)    *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_map_domains () =
-  let xs = Array.init 40 Fun.id in
-  let out = Pool.map_domains ~jobs:4 (fun x -> x * x) xs in
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Pool.Done v -> Alcotest.(check int) "square" (i * i) v
-      | _ -> Alcotest.fail "domain job must succeed")
-    out
-
-let test_pool_map_domains_exception_isolated () =
-  let out =
-    Pool.map_domains ~jobs:3
-      (fun x -> if x = 2 then failwith "boom" else x + 1)
-      [| 0; 1; 2; 3 |]
-  in
-  (match out.(2) with
-  | Pool.Crashed msg ->
-      Alcotest.(check bool) "message survives" true
-        (String.length msg > 0)
-  | _ -> Alcotest.fail "raising job must be Crashed");
-  List.iter
-    (fun i ->
-      match out.(i) with
-      | Pool.Done v -> Alcotest.(check int) "neighbour survives" (i + 1) v
-      | _ -> Alcotest.fail "non-raising jobs must succeed")
-    [ 0; 1; 3 ]
-
-let test_pool_map_domains_on_result () =
-  let seen = ref [] in
-  let out =
-    Pool.map_domains ~jobs:2
-      ~on_result:(fun i _ -> seen := i :: !seen)
-      (fun x -> x)
-      [| 10; 11; 12 |]
-  in
-  Alcotest.(check int) "all settled" 3 (Array.length out);
-  Alcotest.(check (list int))
-    "every job streamed exactly once" [ 0; 1; 2 ]
-    (List.sort compare !seen)
-
-let test_pool_map_domains_empty () =
-  Alcotest.(check int) "empty input" 0
-    (Array.length (Pool.map_domains Fun.id [||]))
-
-(* the same sweep through the shared domain pool: identical answers,
-   no forking, and the report says which pool ran it *)
-let explore_domains ?cache ?inject_crash () =
-  Explore.run ~isolation:`Domains ~jobs:2 ?cache ?inject_crash (mini_space ())
-    ~techniques:[ Job.Mc; Job.Symta ] ~scenario:"Hi" ~requirement:"R"
-
-let test_explore_domains_end_to_end () =
-  let report = explore_domains () in
-  Alcotest.(check bool) "report says domains" true
-    (report.Explore.isolation = `Domains);
-  Alcotest.(check int) "all jobs executed" 4 report.Explore.executed;
-  Alcotest.(check int) "none failed" 0 report.Explore.failed;
-  Alcotest.(check (list (option int)))
-    "same row WCRTs as the forked sweep" [ Some 4; Some 2 ]
-    (List.map Explore.row_wcrt_us report.Explore.rows);
-  Alcotest.(check int) "frontier size" 2
-    (List.length (Explore.frontier report))
-
-let test_explore_domains_crash_isolated () =
-  (* under the domain pool the injected fault raises instead of dying;
-     the job is Crashed, everything else survives *)
-  let report = explore_domains ~inject_crash:0 () in
-  Alcotest.(check int) "exactly one loss" 1 report.Explore.failed;
-  let statuses =
-    List.concat_map
-      (fun (row : Explore.row) ->
-        List.map (fun (c : Explore.cell) -> c.Explore.status) row.Explore.cells)
-      report.Explore.rows
-  in
-  (match List.hd statuses with
-  | Explore.Crashed _ -> ()
-  | _ -> Alcotest.fail "injected job must report Crashed");
-  Alcotest.(check int) "all other results survive" 3
-    (List.length
-       (List.filter
-          (function Explore.Done _ -> true | _ -> false)
-          statuses))
-
-let test_explore_domains_auto_default () =
-  (* no timeout, no fault injection: auto selection picks the domain
-     pool; the per-job budget gets mc_domains pinned to 1 so pool and
-     engine parallelism do not multiply *)
+let test_explore_no_timeout () =
+  (* no timeout, no fault injection: the sweep still runs on the forked
+     pool with every job executed *)
   let report =
     Explore.run ~jobs:2 (mini_space ()) ~techniques:[ Job.Mc ] ~scenario:"Hi"
       ~requirement:"R"
   in
-  Alcotest.(check bool) "auto selects domains" true
-    (report.Explore.isolation = `Domains);
+  Alcotest.(check int) "all jobs executed" 2 report.Explore.executed;
   Alcotest.(check int) "none failed" 0 report.Explore.failed;
   Alcotest.(check (list (option int)))
     "row WCRTs" [ Some 4; Some 2 ]
@@ -632,25 +541,6 @@ let () =
           Alcotest.test_case "cache hits" `Quick test_explore_cache_hits;
           Alcotest.test_case "crash isolated" `Quick
             test_explore_crash_isolated;
-        ] );
-      (* keep these last: they spawn domains, after which the runtime
-         forbids Unix.fork in this process *)
-      ( "pool-domains",
-        [
-          Alcotest.test_case "parallel map" `Quick test_pool_map_domains;
-          Alcotest.test_case "exception isolated" `Quick
-            test_pool_map_domains_exception_isolated;
-          Alcotest.test_case "on_result streams" `Quick
-            test_pool_map_domains_on_result;
-          Alcotest.test_case "empty input" `Quick test_pool_map_domains_empty;
-        ] );
-      ( "explore-domains",
-        [
-          Alcotest.test_case "end to end" `Quick
-            test_explore_domains_end_to_end;
-          Alcotest.test_case "crash isolated" `Quick
-            test_explore_domains_crash_isolated;
-          Alcotest.test_case "auto default" `Quick
-            test_explore_domains_auto_default;
+          Alcotest.test_case "no timeout" `Quick test_explore_no_timeout;
         ] );
     ]

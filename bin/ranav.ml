@@ -103,8 +103,9 @@ let run_wcrt combo column scenario requirement order seed budget probe_start_ms
   match r.Analyze.certified with
   | None -> ()
   | Some (Ok st) ->
-      Format.printf "certified (%d states, %d successor checks)@."
+      Format.printf "certified (%d states, %d successor checks, %.2fs)@."
         st.Ita_cert.Cert.checked_states st.Ita_cert.Cert.checked_zones
+        r.Analyze.check_elapsed
   | Some (Error f) ->
       Format.printf "certificate REJECTED [%s] %s@."
         (Ita_cert.Cert.obligation_name f.Ita_cert.Cert.obligation)

@@ -159,8 +159,8 @@ let run_check path order budget trace domains abstraction slicing cert_out =
                   else None
                 in
                 match
-                  Wcrt.sup ~order ~abstraction ?domains ~slicing ?snap net ~at
-                    ~clock
+                  Wcrt.sup ~order ~budget ~abstraction ?domains ~slicing ?snap
+                    net ~at ~clock
                 with
                 | Wcrt.Sup { value; kind; stats } -> (
                     Format.printf "%d%s (%a)@." value

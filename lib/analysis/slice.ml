@@ -549,7 +549,6 @@ let make ?(mode = CoiMerge) ?fa (net : Network.t) (goal : goal) =
 
 let map_comp t ci = if t.identity then Some ci else t.comp_map.(ci)
 let map_clock t x = if t.identity then Some x else t.clock_map.(x)
-let map_var t v = if t.identity then Some v else t.var_map.(v)
 
 let map_guard t g =
   if t.identity then g else rewrite_guard t.clock_map t.var_map g

@@ -106,7 +106,6 @@ val make : ?mode:mode -> ?fa:Flow.t -> Network.t -> goal -> t
 
 val map_comp : t -> int -> int option
 val map_clock : t -> Guard.clock -> Guard.clock option
-val map_var : t -> Expr.var -> Expr.var option
 
 val map_guard : t -> Guard.t -> Guard.t
 (** Rewrite a guard over original indices into sliced indices.

@@ -152,47 +152,6 @@ let system ?(queue_bound = 4) combo column =
     ~resources:[ mmi; rad; nav; bus ]
     ~scenarios ~queue_bound ()
 
-let system_with ?queue_bound ?mmi_mips ?rad_mips ?nav_mips ?bus_kbps
-    ?cpu_policy ?bus_policy ?decode_on combo column =
-  let sys = system ?queue_bound combo column in
-  let set_mips name mips sys =
-    match mips with
-    | None -> sys
-    | Some mips ->
-        Sysmodel.with_resource sys name (fun r ->
-            Resource.processor r.Resource.name ~mips ~policy:r.Resource.policy)
-  in
-  let sys = set_mips "MMI" mmi_mips sys in
-  let sys = set_mips "RAD" rad_mips sys in
-  let sys = set_mips "NAV" nav_mips sys in
-  let sys =
-    match bus_kbps with
-    | None -> sys
-    | Some kbps ->
-        Sysmodel.with_resource sys "BUS" (fun r ->
-            Resource.link r.Resource.name ~kbps ~policy:r.Resource.policy)
-  in
-  let sys =
-    match cpu_policy with
-    | None -> sys
-    | Some policy ->
-        List.fold_left
-          (fun sys name ->
-            Sysmodel.with_resource sys name (fun r -> { r with Resource.policy }))
-          sys [ "MMI"; "RAD"; "NAV" ]
-  in
-  let sys =
-    match bus_policy with
-    | None -> sys
-    | Some policy ->
-        Sysmodel.with_resource sys "BUS" (fun r -> { r with Resource.policy })
-  in
-  match decode_on with
-  | None -> sys
-  | Some resource ->
-      (* DecodeTMC is HandleTMC's step 2 (paper Figure 3) *)
-      Sysmodel.remap_step sys ~scenario:"HandleTMC" ~step:2 ~resource
-
 type row = {
   label : string;
   combo : combo;

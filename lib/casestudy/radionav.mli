@@ -69,26 +69,6 @@ val combo_name : combo -> string
 
 val system : ?queue_bound:int -> combo -> column -> Sysmodel.t
 
-val system_with :
-  ?queue_bound:int ->
-  ?mmi_mips:float ->
-  ?rad_mips:float ->
-  ?nav_mips:float ->
-  ?bus_kbps:float ->
-  ?cpu_policy:Resource.policy ->
-  ?bus_policy:Resource.policy ->
-  ?decode_on:string ->
-  combo ->
-  column ->
-  Sysmodel.t
-(** The configuration space behind {!system}: the same deployment
-    with any of the paper's architecture alternatives applied —
-    different CPU speeds, bus baud rate, scheduling policies, and
-    [decode_on] moving the DecodeTMC computation onto another
-    processor ("moving functionality between processors", the
-    paper's Section 4 design question).  Defaults reproduce
-    {!system} exactly. *)
-
 (** One row of Table 1 / Table 2: a requirement measured in a
     combination. *)
 type row = {

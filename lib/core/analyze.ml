@@ -18,6 +18,7 @@ type result = {
   elapsed : float;
   uncontended_us : int;
   certified : (Ita_cert.Cert.stats, Ita_cert.Cert.failure) Stdlib.result option;
+  check_elapsed : float;
 }
 
 let wcrt ?(method_ = Exhaustive) ?order ?budget ?abstraction ?reduction:_
@@ -92,22 +93,25 @@ let wcrt ?(method_ = Exhaustive) ?order ?budget ?abstraction ?reduction:_
         | Some l -> searched (Wcrt_lower_bound l) r
         | None -> searched No_verdict r)
   in
-  let certified =
+  let certified, check_elapsed =
     match !qcert with
-    | None -> None
+    | None -> (None, 0.)
     | Some qc ->
         (match cert_out with
         | Some path ->
             Ita_cert.Cert.save path (Cert_emit.make gen.Gen.net [ qc ])
         | None -> ());
         if certify then
-          Some
-            (Ita_cert.Cert.check gen.Gen.net
-               ~goal:(Cert_emit.goal_of_query at)
-               qc)
-        else None
+          let t0 = Unix.gettimeofday () in
+          let r =
+            Ita_cert.Cert.check gen.Gen.net
+              ~goal:(Cert_emit.goal_of_query at)
+              qc
+          in
+          (Some r, Unix.gettimeofday () -. t0)
+        else (None, 0.)
   in
-  { outcome; explored; elapsed; uncontended_us; certified }
+  { outcome; explored; elapsed; uncontended_us; certified; check_elapsed }
 
 let pp_outcome ppf = function
   | Exact_wcrt us -> Units.pp_ms ppf us

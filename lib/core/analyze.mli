@@ -44,6 +44,9 @@ type result = {
       (** [Some r] iff [~certify:true] produced an [Exact_wcrt] and the
           independent checker was run on its certificate; [None] for
           every other method/outcome combination. *)
+  check_elapsed : float;
+      (** wall-clock seconds the independent checker took; [0.] when
+          [certified = None] *)
 }
 
 val wcrt :

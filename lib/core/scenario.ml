@@ -35,9 +35,6 @@ let n_steps s = List.length s.steps
 let requirement s name =
   List.find (fun r -> r.req_name = name) s.requirements
 
-let end_to_end_requirement ?budget_us ~name s =
-  { req_name = name; from_step = None; to_step = n_steps s - 1; budget_us }
-
 let validate ~resources s =
   let ( let* ) r f = Result.bind r f in
   let* () = Eventmodel.validate s.trigger in

@@ -50,9 +50,6 @@ val n_steps : t -> int
 val requirement : t -> string -> requirement
 (** @raise Not_found on an unknown requirement name. *)
 
-val end_to_end_requirement : ?budget_us:int -> name:string -> t -> requirement
-(** Arrival-to-last-step-completion requirement. *)
-
 val validate : resources:Resource.t list -> t -> (unit, string) result
 (** Steps reference known resources of the right kind; requirement
     indices are in range and ordered. *)

@@ -103,8 +103,6 @@ let min_c c1 c2 =
     (fun d -> min (eval c1 d) (eval c2 d))
     (fun ~horizon -> merge_bps c1 c2 ~horizon)
 
-let clamp0 c = raw (fun d -> max 0 (eval c d)) c.bp_fn
-
 let shift_left c s =
   raw
     (fun d -> eval c (d + s))

@@ -48,8 +48,6 @@ val scale : t -> int -> t
 
 val add : t -> t -> t
 val min_c : t -> t -> t
-val clamp0 : t -> t
-(** Pointwise [max 0]. *)
 
 val shift_left : t -> int -> t
 (** [shift_left c s] is [fun d -> eval c (d + s)]: the

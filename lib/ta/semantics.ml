@@ -13,11 +13,6 @@ type label =
       receivers : (int * int) list;
     }
 
-(* The checker interns discrete states, so most live comparisons hit
-   the physical short-circuit. *)
-let state_equal s1 s2 = s1 == s2 || (s1.locs = s2.locs && s1.env = s2.env)
-let state_hash s = Hashtbl.hash (s.locs, s.env)
-
 let loc_kind (net : Network.t) st i =
   (Automaton.location net.automata.(i) st.locs.(i)).Automaton.kind
 

@@ -55,9 +55,6 @@ type label =
       receivers : (int * int) list;
     }
 
-val state_equal : state -> state -> bool
-val state_hash : state -> int
-
 val lu_bounds : Network.t -> state -> int array * int array
 (** [lu_bounds net st] resolves the per-clock Extra+LU constants in
     discrete state [st]: per-location maxima over the components

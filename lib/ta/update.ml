@@ -37,13 +37,6 @@ let apply_env ~ranges env u =
   in
   List.iter step u
 
-let reset_values env u =
-  List.filter_map
-    (function
-      | Reset_clock (x, e) -> Some (x, Expr.eval env e)
-      | Set_var _ -> None)
-    u
-
 let pp ~clock_names ~var_names ppf u =
   let first = ref true in
   let sep () = if !first then first := false else Format.fprintf ppf ", " in

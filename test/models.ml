@@ -152,6 +152,62 @@ let broadcast_pair () =
     (recv "RDIS" (Guard.data Expr.(Cmp (Eq, Var ok, Int 0))));
   Network.Builder.build b
 
+(* The five periodic-with-offset (po) cells of Table 1 with their exact
+   WCRTs in microseconds: (combination, scenario, requirement, WCRT).
+   Each explores at most a few thousand zones at the ceiling
+   [Analyze.wcrt] seeds. *)
+let radionav_po_cells =
+  let module R = Ita_casestudy.Radionav in
+  [
+    (R.Cv_tmc, "HandleTMC", "TMC", 373_859);
+    (R.Cv_tmc, "ChangeVolume", "K2A", 32_829);
+    (R.Cv_tmc, "ChangeVolume", "A2V", 35_919);
+    (R.Al_tmc, "AddressLookup", "E2E", 79_075);
+    (R.Al_tmc, "HandleTMC", "TMC", 172_106);
+  ]
+
+(* A periodic pacer plus [n] sporadic clients.  Client [i]'s clock only
+   appears in the lower-bound guard of its own re-arm loop, so its U
+   constant is 0: zones that differ only above the client's L constant
+   are LU-simulation equivalent, and LuSim prunes them where Extra+LU's
+   extrapolation keeps them apart.  The separation is a never-written
+   variable declared over [0, 4*S_i], so the L bound the engine uses is
+   the flow-refined constant [S_i] rather than the range's worst case. *)
+let sporadic_family n =
+  let b = Network.Builder.create () in
+  let p = Network.Builder.clock b "p" in
+  let clocks =
+    Array.init n (fun i -> Network.Builder.clock b (Printf.sprintf "x%d" i))
+  in
+  let period = 4 in
+  Network.Builder.add_automaton b
+    (Automaton.make ~name:"Pacer"
+       ~locations:[ loc "P" ~invariant:(Guard.clock_le p period) ]
+       ~edges:
+         [ edge 0 0 ~guard:(Guard.clock_eq p period) ~update:(Update.reset p) ]
+       ~initial:0);
+  Array.iteri
+    (fun i x ->
+      let sep = 3 + (2 * i) in
+      let sv =
+        Network.Builder.int_var b
+          (Printf.sprintf "s%d" i)
+          ~lo:0 ~hi:(4 * sep) ~init:sep
+      in
+      Network.Builder.add_automaton b
+        (Automaton.make
+           ~name:(Printf.sprintf "C%d" i)
+           ~locations:[ loc "L" ]
+           ~edges:
+             [
+               edge 0 0
+                 ~guard:(Guard.clock_rel x Guard.Ge (Expr.Var sv))
+                 ~update:(Update.reset x);
+             ]
+           ~initial:0))
+    clocks;
+  Network.Builder.build b
+
 (* Random diagonal-free automata: one component [P] over clocks [x] (1)
    and [y] (2), two to four locations [L0..], random guards, upper-bound
    invariants on [x] and resets.  Upper-bound invariants only, so the

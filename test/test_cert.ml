@@ -337,7 +337,31 @@ let test_radionav_certificates () =
             (Printf.sprintf "%s radionav al/po" cfg)
             net
             ~goal:(Cert_emit.goal_of_query at)
-            qc)
+            qc);
+  (* every po cell once more through Analyze.wcrt at its seeded
+     ceiling, in the plainest configuration only: the full matrix on the
+     ChangeVolume cells would cost minutes *)
+  List.iter
+    (fun (combo, scen, req, expected) ->
+      let name =
+        Printf.sprintf "radionav %s %s/%s" (R.combo_name combo) scen req
+      in
+      let r =
+        Ita_core.Analyze.wcrt ~abstraction:Reach.ExtraLU ~slicing:Reach.Off
+          ~domains:1 ~certify:true (R.system combo R.Po) ~scenario:scen
+          ~requirement:req
+      in
+      (match r.Ita_core.Analyze.outcome with
+      | Ita_core.Analyze.Exact_wcrt v -> Alcotest.(check int) name expected v
+      | _ -> Alcotest.failf "%s: expected exact WCRT" name);
+      match r.Ita_core.Analyze.certified with
+      | Some (Ok _) -> ()
+      | Some (Error f) ->
+          Alcotest.failf "%s: certificate REJECTED [%s] %s" name
+            (Cert.obligation_name f.Cert.obligation)
+            f.Cert.message
+      | None -> Alcotest.failf "%s: not certified" name)
+    Models.radionav_po_cells
 
 (* ------------------------------------------------------------------ *)
 (* Byte stability: the same invariant certificate at any domain count  *)

@@ -532,6 +532,28 @@ let test_random_nets_agree =
       done;
       !ok)
 
+(* LuSim's a<|LU simulation is strictly coarser than Extra+LU on
+   minimum-separation clients: a full exploration of the sporadic
+   family expands strictly fewer zones.  The budget turns a LuSim that
+   loses its simulation (unextrapolated zones pruned by plain
+   inclusion never stop growing) into a failure instead of a hang. *)
+let test_lusim_strict_win () =
+  let net = Models.sporadic_family 3 in
+  let explored abstraction =
+    match
+      Reach.explore ~abstraction ~domains:1 ~budget:(Reach.states 10_000) net
+        ~on_store:(fun _ -> ())
+    with
+    | `Complete stats -> stats.Reach.explored
+    | `Budget_exhausted _ ->
+        Alcotest.failf "%s: exploration should complete"
+          (Reach.abstraction_name abstraction)
+  in
+  let lu = explored Reach.ExtraLU and ls = explored Reach.LuSim in
+  Alcotest.(check bool)
+    (Printf.sprintf "LuSim explores strictly fewer (%d < %d)" ls lu)
+    true (ls < lu)
+
 (* ------------------------------------------------------------------ *)
 (* Satellite: the operator knobs — pure parsers, and the TAMC_DOMAINS
    environment fallback.  Unset, blank and invalid values must all
@@ -706,5 +728,7 @@ let () =
           Alcotest.test_case "verdicts agree on example files" `Quick
             test_verdicts_agree_on_examples;
           QCheck_alcotest.to_alcotest test_random_nets_agree;
+          Alcotest.test_case "LuSim strict win on sporadic clients" `Quick
+            test_lusim_strict_win;
         ] );
     ]

@@ -172,10 +172,9 @@ let test_twin_merge () =
         && Dbm.get goal_zone y x = Ita_dbm.Bound.le 0)
   | _ -> Alcotest.fail "C should be reachable"
 
-(* The bench's station family in miniature: a measured server with a
-   quasi-equal clock pair plus sporadic clients outside the cone.  The
-   strict-win claim of the benchmark, pinned as a test: same sup,
-   strictly fewer explored states, strictly fewer clocks. *)
+(* The station family: a measured server with a quasi-equal clock pair
+   plus sporadic clients outside the cone.  Slicing's strict win: same
+   sup, strictly fewer explored states, strictly fewer clocks. *)
 let station_net n =
   let b = Network.Builder.create () in
   let y = Network.Builder.clock b "y" in
@@ -393,23 +392,32 @@ let test_examples_differential () =
 (* ------------------------------------------------------------------ *)
 
 let test_radionav_differential () =
+  (* at one domain the explored counts are deterministic, and the
+     slice must not explore more than the full network *)
   List.iter
-    (fun (scen, req, expected) ->
-      let sys = R.system R.Al_tmc R.Po in
+    (fun (combo, scen, req, expected) ->
+      let sys = R.system combo R.Po in
+      let name = Printf.sprintf "%s %s/%s" (R.combo_name combo) scen req in
+      let explored ?domains slicing =
+        let r =
+          Ita_core.Analyze.wcrt ?domains ~slicing sys ~scenario:scen
+            ~requirement:req
+        in
+        match r.Ita_core.Analyze.outcome with
+        | Ita_core.Analyze.Exact_wcrt v ->
+            Alcotest.(check int) name expected v;
+            r.Ita_core.Analyze.explored
+        | _ -> Alcotest.failf "%s: expected exact WCRT" name
+      in
+      let off = explored ~domains:1 Reach.Off
+      and on = explored ~domains:1 Reach.CoiMerge in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: CoiMerge explored %d <= Off %d" name on off)
+        true (on <= off);
       List.iter
-        (fun slicing ->
-          match
-            (Ita_core.Analyze.wcrt ~slicing sys ~scenario:scen
-               ~requirement:req)
-              .Ita_core.Analyze.outcome
-          with
-          | Ita_core.Analyze.Exact_wcrt v ->
-              Alcotest.(check int)
-                (Printf.sprintf "%s/%s" scen req)
-                expected v
-          | _ -> Alcotest.failf "%s/%s: expected exact WCRT" scen req)
+        (fun slicing -> ignore (explored slicing))
         [ Reach.Off; Reach.CoiMerge ])
-    [ ("AddressLookup", "E2E", 79_075); ("HandleTMC", "TMC", 172_106) ]
+    Models.radionav_po_cells
 
 (* ------------------------------------------------------------------ *)
 (* Random automata: a queried component plus a removable island, with

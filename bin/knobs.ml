@@ -1,5 +1,6 @@
-(* The exploration-engine flags shared by tamc and ranav: search order,
-   zone abstraction, slicing and worker domains. *)
+(* The flags shared by tamc and ranav: the exploration engine's search
+   order, zone abstraction, slicing and worker domains, and the lint
+   severity threshold. *)
 
 open Cmdliner
 module Reach = Ita_mc.Reach
@@ -50,3 +51,15 @@ let domains_arg =
           "worker domains for the zone exploration (default: the \
            TAMC_DOMAINS environment variable, else the machine's core \
            count); 1 spawns no domain and searches sequentially")
+
+let severity_conv =
+  let module D = Ita_analysis.Diagnostic in
+  let parse = function
+    | "hint" -> Ok D.Hint
+    | "info" -> Ok D.Info
+    | "warning" -> Ok D.Warning
+    | "error" -> Ok D.Error
+    | s -> Error (`Msg (Printf.sprintf "unknown severity %S" s))
+  in
+  let print ppf s = Format.pp_print_string ppf (D.severity_name s) in
+  Arg.conv (parse, print)

@@ -13,28 +13,18 @@ module Reach = Ita_mc.Reach
 (* Shared argument parsing                                             *)
 (* ------------------------------------------------------------------ *)
 
-let combo_conv =
-  let parse = function
-    | "cv" -> Ok R.Cv_tmc
-    | "al" -> Ok R.Al_tmc
-    | s -> Error (`Msg (Printf.sprintf "unknown combo %S (cv or al)" s))
+(* a converter over a closed list of values, each parsed by the name it
+   prints as *)
+let listed_conv what ~hint values name =
+  let parse s =
+    match List.find_opt (fun v -> name v = s) values with
+    | Some v -> Ok v
+    | None -> Error (`Msg (Printf.sprintf "unknown %s %S%s" what s hint))
   in
-  let print ppf c =
-    Format.pp_print_string ppf (match c with R.Cv_tmc -> "cv" | R.Al_tmc -> "al")
-  in
-  Arg.conv (parse, print)
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (name v))
 
-let column_conv =
-  let parse = function
-    | "po" -> Ok R.Po
-    | "pno" -> Ok R.Pno
-    | "sp" -> Ok R.Sp
-    | "pj" -> Ok R.Pj
-    | "bur" -> Ok R.Bur
-    | s -> Error (`Msg (Printf.sprintf "unknown column %S" s))
-  in
-  let print ppf c = Format.pp_print_string ppf (R.column_name c) in
-  Arg.conv (parse, print)
+let combo_conv = listed_conv "combo" ~hint:" (cv or al)" R.combos R.combo_name
+let column_conv = listed_conv "column" ~hint:"" R.columns R.column_name
 
 (* the order parser cannot know the seed yet; thread it in here *)
 let seeded_order order seed =
@@ -85,8 +75,7 @@ let run_wcrt combo column scenario requirement order seed budget probe_start_ms
       ~requirement
   in
   Format.printf "%s %s/%s [%s]: uncontended %a ms, wcrt %a ms (%d states, %.2fs)@."
-    (match combo with R.Cv_tmc -> "cv" | R.Al_tmc -> "al")
-    scenario requirement (R.column_name column) Units.pp_ms
+    (R.combo_name combo) scenario requirement (R.column_name column) Units.pp_ms
     r.Analyze.uncontended_us Analyze.pp_outcome r.Analyze.outcome
     r.Analyze.explored r.Analyze.elapsed;
   (* [Analyze.wcrt] emits a certificate only for an exhaustive exact
@@ -191,9 +180,7 @@ let analyze_cell ?(force_exhaustive = false) (row : R.row) column ~budget =
       Analyze.wcrt sys ~scenario:row.R.scenario ~requirement:row.R.requirement
 
 let run_table1 columns budget rows_filter full =
-  let columns =
-    if columns = [] then [ R.Po; R.Pno; R.Sp; R.Pj; R.Bur ] else columns
-  in
+  let columns = if columns = [] then R.columns else columns in
   Format.printf
     "Table 1: worst-case response times (ms), per environment model@.";
   Format.printf "%-32s" "Requirement";
@@ -523,28 +510,13 @@ let explore_cmd =
 module Lint = Ita_analysis.Lint
 module Diag = Ita_analysis.Diagnostic
 
-let severity_conv =
-  let parse = function
-    | "hint" -> Ok Diag.Hint
-    | "info" -> Ok Diag.Info
-    | "warning" -> Ok Diag.Warning
-    | "error" -> Ok Diag.Error
-    | s -> Error (`Msg (Printf.sprintf "unknown severity %S" s))
-  in
-  let print ppf s = Format.pp_print_string ppf (Diag.severity_name s) in
-  Arg.conv (parse, print)
-
-let combo_name = function R.Cv_tmc -> "cv" | R.Al_tmc -> "al"
-
 (* Lint every generated network: for each combination x environment
    column, the plain network and each Table-1 measured variant (the
    measuring automaton and observer clock included).  Findings at or
    above the threshold make the exit code nonzero. *)
 let run_lint combos columns fail_on verbose json =
-  let combos = if combos = [] then [ R.Cv_tmc; R.Al_tmc ] else combos in
-  let columns =
-    if columns = [] then [ R.Po; R.Pno; R.Sp; R.Pj; R.Bur ] else columns
-  in
+  let combos = if combos = [] then R.combos else combos in
+  let columns = if columns = [] then R.columns else columns in
   let checked = ref 0 and flagged = ref 0 in
   let reports = ref [] in
   let lint_net label ?observer net =
@@ -588,7 +560,7 @@ let run_lint combos columns fail_on verbose json =
         (fun column ->
           let sys = R.system combo column in
           let label suffix =
-            Printf.sprintf "%s/%s%s" (combo_name combo)
+            Printf.sprintf "%s/%s%s" (R.combo_name combo)
               (R.column_name column) suffix
           in
           lint_net (label "") (Gen.generate sys).Gen.net;
@@ -648,7 +620,7 @@ let lint_cmd =
   let fail_on =
     Arg.(
       value
-      & opt severity_conv Diag.Error
+      & opt Knobs.severity_conv Diag.Error
       & info [ "fail-on" ]
           ~doc:"lowest severity that makes the exit code nonzero")
   in

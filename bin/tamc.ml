@@ -1,11 +1,12 @@
 (* tamc: a small standalone model checker for .ta files — check the
-   file's reach/sup queries (optionally emitting verdict certificates),
-   certify a previously emitted certificate with the independent
-   checker, or dump the parsed network. *)
+   file's reach/sup/deadlock queries (optionally emitting verdict
+   certificates), certify a previously emitted certificate with the
+   independent checker, or dump the parsed network. *)
 
 open Cmdliner
 module Reach = Ita_mc.Reach
 module Wcrt = Ita_mc.Wcrt
+module Check = Ita_mc.Check
 module Cert = Ita_cert.Cert
 module Cert_emit = Ita_mc.Cert_emit
 module E = Ita_tafmt.Elaborate
@@ -26,6 +27,62 @@ let load ?validate path =
   | Ita_ta.Network.Invalid_model m ->
       Error (Printf.sprintf "%s: invalid model: %s" path m)
 
+let pp_property net ppf = function
+  | E.Reach_q q -> Format.fprintf ppf "reach %a" (Ita_mc.Query.pp net) q
+  | E.Sup_q { clock; at } ->
+      Format.fprintf ppf "sup %s at %a"
+        net.Ita_ta.Network.clock_names.(clock)
+        (Ita_mc.Query.pp net) at
+  | E.Deadlock_q -> Format.pp_print_string ppf "deadlock"
+
+(* the verdict line (plus the witness under --trace) that completes the
+   header [run_check] printed *)
+let pp_verdict net ~trace = function
+  | Check.Reach_result (Reach.Reachable { witness; stats; _ }) ->
+      Format.printf "REACHABLE (%a)@." Reach.pp_stats stats;
+      if trace then Reach.pp_witness net Format.std_formatter witness
+  | Check.Reach_result (Reach.Unreachable stats) ->
+      Format.printf "unreachable (%a)@." Reach.pp_stats stats
+  | Check.Sup_result (Wcrt.Sup { value; kind; stats }) ->
+      Format.printf "%d%s (%a)@." value
+        (match kind with
+        | Wcrt.Attained -> ""
+        | Wcrt.Approached -> " (approached)")
+        Reach.pp_stats stats
+  | Check.Reach_result (Reach.Budget_exhausted stats)
+  | Check.Deadlock_result (Check.Deadlock_budget_exhausted stats) ->
+      Format.printf "UNKNOWN: budget exhausted (%a)@." Reach.pp_stats stats
+  | Check.Sup_result (Wcrt.Sup_budget_exhausted { observed; stats }) ->
+      Format.printf "UNKNOWN: budget exhausted (saw %s; %a)@."
+        (match observed with Some v -> string_of_int v | None -> "nothing")
+        Reach.pp_stats stats
+  | Check.Sup_result (Wcrt.Goal_unreachable stats) ->
+      Format.printf "location unreachable (%a)@." Reach.pp_stats stats
+  | Check.Sup_result (Wcrt.Sup_unbounded { ceiling; stats }) ->
+      Format.printf "unbounded (beyond %d; %a)@." ceiling Reach.pp_stats stats
+  | Check.Deadlock_result (Check.Deadlock_at st) ->
+      Format.printf "DEADLOCK at ";
+      Ita_ta.Semantics.pp_state net Format.std_formatter st;
+      Format.printf "@."
+  | Check.Deadlock_result (Check.Deadlock_free stats) ->
+      Format.printf "deadlock-free (%a)@." Reach.pp_stats stats
+
+(* the verdicts a certificate exists for; the "not certified" note
+   follows these and precedes every other verdict line *)
+let certifiable = function
+  | Check.Reach_result (Reach.Reachable _ | Reach.Unreachable _)
+  | Check.Sup_result (Wcrt.Sup _) ->
+      true
+  | _ -> false
+
+(* a verdict that is neither definite nor a runtime error: exit 2 *)
+let inconclusive = function
+  | Check.Reach_result (Reach.Budget_exhausted _)
+  | Check.Sup_result (Wcrt.Sup_unbounded _ | Wcrt.Sup_budget_exhausted _)
+  | Check.Deadlock_result (Check.Deadlock_budget_exhausted _) ->
+      true
+  | _ -> false
+
 let run_check path order budget trace domains abstraction slicing cert_out =
   match load path with
   | Error m ->
@@ -42,157 +99,43 @@ let run_check path order budget trace domains abstraction slicing cert_out =
           | None -> Reach.no_budget
           | Some n -> Reach.states n
         in
-        let failed = ref 0 in
-        (* per-query certificates, in file order; queries whose verdict
-           cannot be certified (deadlock probes, exhausted budgets,
-           unbounded sups) are skipped with a note.  TAMC_CERT
-           additionally re-validates each certificate in process the
-           moment it is emitted. *)
-        let self_certify =
-          match Sys.getenv_opt "TAMC_CERT" with
-          | None -> false
-          | Some s -> ( match String.trim s with "" | "0" -> false | _ -> true)
+        let cert = cert_out <> None in
+        let note i why =
+          if cert then Format.printf "query %d: note: %s, not certified@." i why
         in
-        let want_cert = cert_out <> None || self_certify in
-        let certs = ref [] in
-        let certify ~goal (qc : Cert.query_cert) =
-          certs := qc :: !certs;
-          if self_certify then
-            match Cert.check net ~goal qc with
-            | Ok _ -> Format.printf "query %d: self-certified@." qc.Cert.index
-            | Error f ->
-                incr failed;
-                Format.printf "query %d: certificate REJECTED [%s] %s@."
-                  qc.Cert.index
-                  (Cert.obligation_name f.Cert.obligation)
-                  f.Cert.message
-        in
-        let skip_cert i what =
-          if want_cert then
-            Format.printf "query %d: note: %s, not certified@." i what
-        in
-        (* an update leaving its variable's declared range aborts only
-           the query that explores it, as a runtime-error verdict *)
-        let runtime_errors = ref 0 in
-        let guard_query i f =
-          try f ()
-          with Ita_ta.Update.Out_of_range { var; value } ->
-            incr runtime_errors;
-            let lo, hi = net.Ita_ta.Network.var_ranges.(var) in
-            Format.printf
-              "RUNTIME ERROR: update sets %s to %d, outside its declared \
-               range [%d, %d]@."
-              net.Ita_ta.Network.var_names.(var) value lo hi;
-            skip_cert i "runtime error"
-        in
+        let failed = ref 0 and runtime_errors = ref 0 and certs = ref [] in
         List.iteri
           (fun i q ->
-            guard_query i @@ fun () ->
-            match q with
-            | E.Deadlock_q -> (
-                Format.printf "query %d: deadlock ... @?" i;
-                let dead = ref None in
-                let result =
-                  Reach.explore ~order ~budget ~abstraction ?domains net
-                    ~on_store:(fun cfg ->
-                      if
-                        !dead = None
-                        && Ita_ta.Semantics.successors net cfg = []
-                      then dead := Some cfg.Ita_ta.Semantics.state)
+            Format.printf "query %d: %a ... @?" i (pp_property net) q;
+            (* an update leaving its variable's declared range aborts only
+               the query that explores it, as a runtime-error verdict *)
+            match
+              Check.run ~order ~budget ~abstraction ?domains ~slicing ~cert
+                ~index:i net q
+            with
+            | verdict, certificate ->
+                if inconclusive verdict then incr failed;
+                let record () =
+                  match certificate with
+                  | Ok qc -> certs := qc :: !certs
+                  | Error why -> note i why
                 in
-                skip_cert i "deadlock queries have no certificate format";
-                match (!dead, result) with
-                | Some st, _ ->
-                    Format.printf "DEADLOCK at ";
-                    Ita_ta.Semantics.pp_state net Format.std_formatter st;
-                    Format.printf "@."
-                | None, `Complete stats ->
-                    Format.printf "deadlock-free (%a)@." Reach.pp_stats stats
-                | None, `Budget_exhausted stats ->
-                    incr failed;
-                    Format.printf "UNKNOWN: budget exhausted (%a)@."
-                      Reach.pp_stats stats)
-            | E.Reach_q q -> (
-                Format.printf "query %d: reach %a ... @?" i
-                  (Ita_mc.Query.pp net) q;
-                let last_snap = ref None in
-                let snap =
-                  if want_cert then Some (fun s -> last_snap := Some s)
-                  else None
-                in
-                match
-                  Reach.reach ~order ~budget ~abstraction ?domains ~slicing
-                    ?snap net q
-                with
-                | Reach.Reachable { witness; stats; _ } ->
-                    Format.printf "REACHABLE (%a)@." Reach.pp_stats stats;
-                    if trace then
-                      Reach.pp_witness net Format.std_formatter witness;
-                    if want_cert then
-                      certify
-                        ~goal:(Cert_emit.goal_of_query q)
-                        (Cert_emit.of_witness ~index:i
-                           (List.filter_map
-                              (fun (s : Reach.step) -> s.Reach.via)
-                              witness))
-                | Reach.Unreachable stats -> (
-                    Format.printf "unreachable (%a)@." Reach.pp_stats stats;
-                    match !last_snap with
-                    | Some s ->
-                        certify
-                          ~goal:(Cert_emit.goal_of_query q)
-                          (Cert_emit.of_snapshot ~index:i
-                             ~verdict:Cert.Unreachable s)
-                    | None -> ())
-                | Reach.Budget_exhausted stats ->
-                    incr failed;
-                    skip_cert i "no verdict";
-                    Format.printf "UNKNOWN: budget exhausted (%a)@."
-                      Reach.pp_stats stats)
-            | E.Sup_q { clock; at } -> (
-                Format.printf "query %d: sup %s at %a ... @?" i
-                  net.Ita_ta.Network.clock_names.(clock)
-                  (Ita_mc.Query.pp net) at;
-                let last_snap = ref None in
-                let snap =
-                  if want_cert then Some (fun s -> last_snap := Some s)
-                  else None
-                in
-                match
-                  Wcrt.sup ~order ~budget ~abstraction ?domains ~slicing ?snap
-                    net ~at ~clock
-                with
-                | Wcrt.Sup { value; kind; stats } -> (
-                    Format.printf "%d%s (%a)@." value
-                      (match kind with
-                      | Wcrt.Attained -> ""
-                      | Wcrt.Approached -> " (approached)")
-                      Reach.pp_stats stats;
-                    match !last_snap with
-                    | Some s ->
-                        certify
-                          ~goal:(Cert_emit.goal_of_query at)
-                          (Cert_emit.of_snapshot ~index:i
-                             ~verdict:(Cert.Sup { clock; value; kind })
-                             s)
-                    | None -> if want_cert then skip_cert i "no snapshot surfaced")
-                | Wcrt.Goal_unreachable stats ->
-                    skip_cert i "goal unreachable: sup has no value to certify";
-                    Format.printf "location unreachable (%a)@." Reach.pp_stats
-                      stats
-                | Wcrt.Sup_unbounded { ceiling; stats } ->
-                    incr failed;
-                    skip_cert i "no bounded verdict";
-                    Format.printf "unbounded (beyond %d; %a)@." ceiling
-                      Reach.pp_stats stats
-                | Wcrt.Sup_budget_exhausted { observed; stats } ->
-                    incr failed;
-                    skip_cert i "no verdict";
-                    Format.printf "UNKNOWN: budget exhausted (saw %s; %a)@."
-                      (match observed with
-                      | Some v -> string_of_int v
-                      | None -> "nothing")
-                      Reach.pp_stats stats))
+                if certifiable verdict then begin
+                  pp_verdict net ~trace verdict;
+                  record ()
+                end
+                else begin
+                  record ();
+                  pp_verdict net ~trace verdict
+                end
+            | exception Ita_ta.Update.Out_of_range { var; value } ->
+                incr runtime_errors;
+                let lo, hi = net.Ita_ta.Network.var_ranges.(var) in
+                Format.printf
+                  "RUNTIME ERROR: update sets %s to %d, outside its declared \
+                   range [%d, %d]@."
+                  net.Ita_ta.Network.var_names.(var) value lo hi;
+                note i "runtime error")
           queries;
         (match cert_out with
         | None -> ()
@@ -291,18 +234,22 @@ let run_certify path cert_path json =
                       mismatch
                         (Printf.sprintf "the model has no query %d" i)
                     else
-                      match (queries.(i), qc.Cert.verdict) with
-                      | E.Reach_q q, (Cert.Unreachable | Cert.Reachable _) ->
-                          Cert.check net ~goal:(Cert_emit.goal_of_query q) qc
-                      | E.Sup_q { clock; at }, Cert.Sup { clock = c; _ }
-                        when c = clock ->
-                          Cert.check net ~goal:(Cert_emit.goal_of_query at) qc
-                      | E.Deadlock_q, _ ->
-                          mismatch "deadlock queries have no certificates"
-                      | (E.Reach_q _ | E.Sup_q _), _ ->
+                      let q = queries.(i) in
+                      let kind_matches =
+                        match (q, qc.Cert.verdict) with
+                        | E.Reach_q _, (Cert.Unreachable | Cert.Reachable _) ->
+                            true
+                        | E.Sup_q { clock; _ }, Cert.Sup { clock = c; _ } ->
+                            c = clock
+                        | _ -> false
+                      in
+                      match Check.goal q with
+                      | None -> mismatch "deadlock queries have no certificates"
+                      | Some _ when not kind_matches ->
                           mismatch
                             "the certified verdict does not match the query's \
                              kind"
+                      | Some goal -> Cert.check net ~goal qc
                   in
                   (i, r))
                 t.Cert.queries
@@ -412,45 +359,6 @@ let show_cmd =
 module D = Ita_analysis.Diagnostic
 module Lint = Ita_analysis.Lint
 
-let severity_conv =
-  let parse = function
-    | "hint" -> Ok D.Hint
-    | "info" -> Ok D.Info
-    | "warning" -> Ok D.Warning
-    | "error" -> Ok D.Error
-    | s -> Error (`Msg (Printf.sprintf "unknown severity %S" s))
-  in
-  let print ppf s = Format.pp_print_string ppf (D.severity_name s) in
-  Arg.conv (parse, print)
-
-(* Clocks and variables the file's queries mention are observed from
-   outside the model and must not count as unused/dead. *)
-let observed_of_queries queries =
-  let comps = ref [] and clocks = ref [] and vars = ref [] in
-  let add_guard (g : Ita_ta.Guard.t) =
-    List.iter
-      (fun (a : Ita_ta.Guard.atom) ->
-        clocks := a.Ita_ta.Guard.clock :: !clocks;
-        vars := Ita_ta.Expr.ivars a.Ita_ta.Guard.bound @ !vars)
-      g.Ita_ta.Guard.clocks;
-    vars := Ita_ta.Expr.bvars g.Ita_ta.Guard.data @ !vars
-  in
-  let add_comps (q : Ita_mc.Query.t) =
-    comps := List.map fst q.Ita_mc.Query.comp_locs @ !comps
-  in
-  List.iter
-    (function
-      | E.Deadlock_q -> ()
-      | E.Reach_q q ->
-          add_comps q;
-          add_guard q.Ita_mc.Query.guard
-      | E.Sup_q { clock; at } ->
-          clocks := clock :: !clocks;
-          add_comps at;
-          add_guard at.Ita_mc.Query.guard)
-    queries;
-  (List.sort_uniq compare !comps, !clocks, !vars)
-
 (* map diagnostic sites to source positions through the elaborator's
    source map; shared by lint (file:line:col prefixes, deterministic
    ordering) and flow (per-location annotations) *)
@@ -466,11 +374,14 @@ let run_lint path fail_on json =
       prerr_endline m;
       1
   | Ok { E.net; queries; srcmap } ->
-      let observed_comps, observed_clocks, observed_vars =
-        observed_of_queries queries
+      (* what the file's queries observe is watched from outside the
+         model: it feeds the cone pass and is never unused or dead *)
+      let { Ita_analysis.Slice.g_comps; g_clocks; g_vars } =
+        Check.observed queries
       in
       let findings =
-        Lint.run ~observed_comps ~observed_clocks ~observed_vars net
+        Lint.run ~observed_comps:g_comps ~observed_clocks:g_clocks
+          ~observed_vars:g_vars net
       in
       let pos_str { Ita_tafmt.Ast.line; col } =
         Printf.sprintf "%s:%d:%d" path line col
@@ -494,7 +405,7 @@ let lint_cmd =
   let fail_on =
     Arg.(
       value
-      & opt severity_conv D.Error
+      & opt Knobs.severity_conv D.Error
       & info [ "fail-on" ]
           ~doc:"lowest severity that makes the exit code nonzero \
                 (hint/info/warning/error)")
@@ -559,22 +470,15 @@ let run_slice path slicing =
       else begin
         List.iteri
           (fun i q ->
+            Format.printf "query %d: %a" i (pp_property net) q;
             match q with
             | E.Deadlock_q ->
-                Format.printf
-                  "query %d: deadlock — whole-network property, not sliced@." i
-            | E.Reach_q q ->
-                Format.printf "query %d: reach %a@." i (Ita_mc.Query.pp net) q;
-                let sl, _, _ = Reach.slice_query slicing net q in
-                Ita_analysis.Slice.pp_report ~resolve Format.std_formatter sl
-            | E.Sup_q { clock; at } ->
-                Format.printf "query %d: sup %s at %a@." i
-                  net.Ita_ta.Network.clock_names.(clock)
-                  (Ita_mc.Query.pp net) at;
-                let sl, _, _ =
-                  Reach.slice_query slicing ~extra_clocks:[ clock ] net at
-                in
-                Ita_analysis.Slice.pp_report ~resolve Format.std_formatter sl)
+                Format.printf " — whole-network property, not sliced@."
+            | E.Reach_q _ | E.Sup_q _ ->
+                Format.printf "@.";
+                Ita_analysis.Slice.pp_report ~resolve Format.std_formatter
+                  (Ita_analysis.Slice.make ~mode:slicing net
+                     (Check.observed [ q ])))
           queries;
         0
       end

@@ -2,7 +2,6 @@ open Ita_mc
 
 type method_ =
   | Exhaustive
-  | Binary of { hi : int }
   | Structured_testing of { start : int; step : int }
 
 type outcome =
@@ -72,16 +71,6 @@ let wcrt ?(method_ = Exhaustive) ?order ?budget ?abstraction ?reduction:_
             of_stats No_verdict stats
         | Wcrt.Sup_unbounded { ceiling; stats } ->
             of_stats (Unbounded ceiling) stats)
-    | Binary { hi } -> (
-        let r =
-          Wcrt.binary_search ?order ?budget ?abstraction ?domains ?slicing ~hi
-            gen.Gen.net ~at ~clock
-        in
-        match (r.Wcrt.lower, r.Wcrt.upper) with
-        | Some l, Some u when u = l + 1 -> searched (Exact_wcrt l) r
-        | Some l, _ -> searched (Wcrt_lower_bound l) r
-        | None, Some _ -> searched No_response r
-        | None, None -> searched No_verdict r)
     | Structured_testing { start; step } -> (
         let r =
           Wcrt.probe_lower ?order ?budget ?abstraction ?domains ?slicing

@@ -15,7 +15,6 @@ open Ita_mc
 
 type method_ =
   | Exhaustive
-  | Binary of { hi : int }  (** the paper's actual strategy *)
   | Structured_testing of { start : int; step : int }
       (** probe [start], [start + step], ... while a counterexample is
           found; pass [~order:Dfs] (or [Random_dfs]) and a [~budget]
@@ -68,7 +67,7 @@ val wcrt :
     extracts the WCRT.  Default method is [Exhaustive] with BFS.
 
     [?budget] (default unlimited) caps every exploration of every
-    method: the sup-query, each binary-search step, each probe.  The
+    method: the sup-query and each probe.  The
     exhaustive sup-query starts its extrapolation ceiling at four times
     the uncontended response time.
 

@@ -1,4 +1,4 @@
-type t = { dir : string; mutable hits : int; mutable misses : int }
+type t = { dir : string }
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -9,7 +9,7 @@ let rec mkdir_p dir =
 
 let create ~dir =
   mkdir_p dir;
-  { dir; hits = 0; misses = 0 }
+  { dir }
 
 let dir t = t.dir
 
@@ -43,20 +43,15 @@ let path t key = Filename.concat t.dir (key ^ ".job")
 
 let find t key =
   match open_in_bin (path t key) with
-  | exception Sys_error _ ->
-      t.misses <- t.misses + 1;
-      None
-  | ic -> (
+  | exception Sys_error _ -> None
+  | ic ->
       let v =
         match (Marshal.from_channel ic : Job.result) with
         | r -> Some r
         | exception _ -> None
       in
       close_in_noerr ic;
-      (match v with
-      | Some _ -> t.hits <- t.hits + 1
-      | None -> t.misses <- t.misses + 1);
-      v)
+      v
 
 let store t key r =
   let final = path t key in
@@ -67,6 +62,3 @@ let store t key r =
   Marshal.to_channel oc (r : Job.result) [];
   close_out oc;
   Sys.rename tmp final
-
-let hits t = t.hits
-let misses t = t.misses

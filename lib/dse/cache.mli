@@ -23,9 +23,5 @@ val job_key : Job.spec -> string
     budget. *)
 
 val find : t -> string -> Job.result option
-(** Counts a hit or a miss. *)
 
 val store : t -> string -> Job.result -> unit
-
-val hits : t -> int
-val misses : t -> int

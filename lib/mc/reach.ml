@@ -595,7 +595,7 @@ let run ?(order = Bfs) ?(budget = no_budget) ?(abstraction = ExtraLU) ?domains
 
 (* The observation seed of a query's backward cone: its components, the
    clocks its guard tests, the variables it reads. *)
-let goal_of_query ~extra_clocks (q : Query.t) : Slice.goal =
+let cone_seed ?(extra_clocks = []) (q : Query.t) : Slice.goal =
   {
     Slice.g_comps = List.map fst q.Query.comp_locs;
     g_clocks =
@@ -611,7 +611,7 @@ let goal_of_query ~extra_clocks (q : Query.t) : Slice.goal =
   }
 
 let slice_query mode ?(extra_clocks = []) net (q : Query.t) =
-  let sl = Slice.make ~mode net (goal_of_query ~extra_clocks q) in
+  let sl = Slice.make ~mode net (cone_seed ~extra_clocks q) in
   let q' =
     if sl.Slice.identity then q
     else

@@ -79,6 +79,12 @@ val default_domains : unit -> int
     an unset one — to the machine's core count — after a one-line
     stderr warning naming the valid values. *)
 
+val cone_seed :
+  ?extra_clocks:Guard.clock list -> Query.t -> Ita_analysis.Slice.goal
+(** The seed of the query's backward cone of influence: its
+    components, the clocks its guard tests (plus [extra_clocks]) and
+    the variables it reads. *)
+
 val slice_query :
   slicing ->
   ?extra_clocks:Guard.clock list ->
@@ -86,12 +92,10 @@ val slice_query :
   Query.t ->
   Ita_analysis.Slice.t * Network.t * Query.t
 (** [slice_query mode net q] computes the query-directed reduction of
-    [net] (the cone is seeded with the query's components, tested
-    clocks and read variables, plus [extra_clocks] — e.g. a measured
-    sup clock) and returns the slice, the reduced network and the
-    query translated into its index space.  Used by {!reach} and by
-    {!Wcrt}; exposed for the [tamc slice] report and the test
-    suites. *)
+    [net] from {!cone_seed} (with [extra_clocks], e.g. a measured sup
+    clock) and returns the slice, the reduced network and the query
+    translated into its index space.  Used by {!reach} and by {!Wcrt};
+    exposed for the test suites. *)
 
 val no_budget : budget
 val states : int -> budget

@@ -2,7 +2,7 @@ open Ita_ta
 
 exception Elab_error of { pos : Ast.pos option; message : string }
 
-type query =
+type query = Ita_mc.Check.property =
   | Reach_q of Ita_mc.Query.t
   | Sup_q of { clock : Guard.clock; at : Ita_mc.Query.t }
   | Deadlock_q

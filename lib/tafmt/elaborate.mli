@@ -7,7 +7,7 @@ exception Elab_error of { pos : Ast.pos option; message : string }
 (** [pos] locates the offending location or edge declaration when the
     error is tied to one (e.g. an out-of-range clock constant). *)
 
-type query =
+type query = Ita_mc.Check.property =
   | Reach_q of Ita_mc.Query.t
   | Sup_q of { clock : Guard.clock; at : Ita_mc.Query.t }
   | Deadlock_q

@@ -262,3 +262,52 @@ let gen_random_net =
   Network.Builder.add_automaton b
     (Automaton.make ~name:"P" ~locations ~edges ~initial:0);
   return (Network.Builder.build b, nl)
+
+(* The shipped example models: tests run from _build/default/test under
+   dune, or from the repo root when the executable is invoked directly. *)
+let model_path name =
+  let candidates =
+    [ "../examples/models/" ^ name; "examples/models/" ^ name ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> Alcotest.failf "%s not found" name
+
+(* Every query of an example model through the checker [tamc check]
+   runs, in file order. *)
+let check_example ?abstraction ?slicing ?domains ~cert name =
+  let { Ita_tafmt.Elaborate.net; queries; _ } =
+    Ita_tafmt.Elaborate.load_file (model_path name)
+  in
+  ( net,
+    List.mapi
+      (fun i q ->
+        (q, Ita_mc.Check.run ?abstraction ?slicing ?domains ~cert ~index:i net q))
+      queries )
+
+(* A verdict without its statistics, witness or deadlock state: what
+   every engine configuration must agree on. *)
+let verdict_key =
+  let open Ita_mc in
+  function
+  | Check.Reach_result (Reach.Reachable _) -> "reachable"
+  | Check.Reach_result (Reach.Unreachable _)
+  | Check.Sup_result (Wcrt.Goal_unreachable _) ->
+      "unreachable"
+  | Check.Reach_result (Reach.Budget_exhausted _)
+  | Check.Sup_result (Wcrt.Sup_budget_exhausted _)
+  | Check.Deadlock_result (Check.Deadlock_budget_exhausted _) ->
+      "budget"
+  | Check.Sup_result (Wcrt.Sup { value; kind; _ }) ->
+      Printf.sprintf "sup %d %s" value
+        (match kind with
+        | Wcrt.Attained -> "attained"
+        | Wcrt.Approached -> "approached")
+  | Check.Sup_result (Wcrt.Sup_unbounded _) -> "unbounded"
+  | Check.Deadlock_result (Check.Deadlock_at _) -> "deadlock"
+  | Check.Deadlock_result (Check.Deadlock_free _) -> "deadlock-free"
+
+let example_verdicts ?abstraction ?slicing ?domains name =
+  List.map
+    (fun (_, (v, _)) -> verdict_key v)
+    (snd (check_example ?abstraction ?slicing ?domains ~cert:false name))

@@ -5,7 +5,6 @@
 open Ita_ta
 module D = Ita_analysis.Diagnostic
 module Lint = Ita_analysis.Lint
-module Query = Ita_mc.Query
 module E = Ita_tafmt.Elaborate
 module R = Ita_casestudy.Radionav
 open Ita_core
@@ -303,47 +302,23 @@ let test_generated_baseline () =
           in
           if bad <> [] then
             Alcotest.failf "%s [%s]: %d findings at warning+, worst %s"
-              (match combo with R.Cv_tmc -> "cv" | R.Al_tmc -> "al")
-              (R.column_name col) (List.length bad) (worst_name findings))
+              (R.combo_name combo) (R.column_name col) (List.length bad)
+              (worst_name findings))
         R.columns)
-    [ R.Cv_tmc; R.Al_tmc ]
-
-let model_path name =
-  let candidates =
-    [ "../examples/models/" ^ name; "examples/models/" ^ name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.failf "%s not found" name
+    R.combos
 
 let example_files = [ "fischer.ta"; "train_gate.ta"; "two_phase.ta" ]
-
-let observed_of_queries queries =
-  let clocks = ref [] and vars = ref [] in
-  let add_guard (g : Guard.t) =
-    List.iter
-      (fun (a : Guard.atom) ->
-        clocks := a.Guard.clock :: !clocks;
-        vars := Expr.ivars a.Guard.bound @ !vars)
-      g.Guard.clocks;
-    vars := Expr.bvars g.Guard.data @ !vars
-  in
-  List.iter
-    (function
-      | E.Deadlock_q -> ()
-      | E.Reach_q q -> add_guard q.Query.guard
-      | E.Sup_q { clock; at } ->
-          clocks := clock :: !clocks;
-          add_guard at.Query.guard)
-    queries;
-  (!clocks, !vars)
 
 let test_examples_baseline () =
   List.iter
     (fun file ->
-      let { E.net; queries; _ } = E.load_file (model_path file) in
-      let observed_clocks, observed_vars = observed_of_queries queries in
-      let findings = Lint.run ~observed_clocks ~observed_vars net in
+      let { E.net; queries; _ } = E.load_file (Models.model_path file) in
+      let { Ita_analysis.Slice.g_clocks; g_vars; _ } =
+        Ita_mc.Check.observed queries
+      in
+      let findings =
+        Lint.run ~observed_clocks:g_clocks ~observed_vars:g_vars net
+      in
       let bad =
         List.filter
           (fun (d : D.t) -> D.compare_severity d.D.severity D.Warning >= 0)
@@ -375,43 +350,18 @@ let fixture name =
   | Some p -> p
   | None -> Alcotest.failf "fixture %s not found" name
 
-(* mirrors tamc's observed_of_queries: what the model's own queries
-   watch feeds the cone pass and the unused/never-reset exemptions *)
-let observed_of_queries queries =
-  let comps = ref [] and clocks = ref [] and vars = ref [] in
-  let add_guard (g : Guard.t) =
-    List.iter
-      (fun (a : Guard.atom) ->
-        clocks := a.Guard.clock :: !clocks;
-        vars := Expr.ivars a.Guard.bound @ !vars)
-      g.Guard.clocks;
-    vars := Expr.bvars g.Guard.data @ !vars
-  in
-  let add_comps (q : Query.t) =
-    comps := List.map fst q.Query.comp_locs @ !comps
-  in
-  List.iter
-    (function
-      | E.Deadlock_q -> ()
-      | E.Reach_q q ->
-          add_comps q;
-          add_guard q.Query.guard
-      | E.Sup_q { clock; at } ->
-          clocks := clock :: !clocks;
-          add_comps at;
-          add_guard at.Query.guard)
-    queries;
-  (List.sort_uniq compare !comps, !clocks, !vars)
-
 let test_lint_json_golden () =
   let { E.net; queries; srcmap } =
     E.load_file ~validate:false (fixture "flow_demo.ta")
   in
-  let observed_comps, observed_clocks, observed_vars =
-    observed_of_queries queries
+  (* what the model's own queries watch feeds the cone pass and the
+     unused/never-reset exemptions, as in tamc lint *)
+  let { Ita_analysis.Slice.g_comps; g_clocks; g_vars } =
+    Ita_mc.Check.observed queries
   in
   let findings =
-    Lint.run ~observed_comps ~observed_clocks ~observed_vars net
+    Lint.run ~observed_comps:g_comps ~observed_clocks:g_clocks
+      ~observed_vars:g_vars net
   in
   let site_pos = function
     | D.Automaton_site i -> Some srcmap.E.proc_pos.(i)

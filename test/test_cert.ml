@@ -11,7 +11,6 @@ open Ita_mc
 module Dbm = Ita_dbm.Dbm
 module Cert = Ita_cert.Cert
 module R = Ita_casestudy.Radionav
-module E = Ita_tafmt.Elaborate
 
 (* ------------------------------------------------------------------ *)
 (* Models (the test_par zoo, including its wide-frontier stressor)     *)
@@ -104,27 +103,19 @@ let zoo () =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Emission helpers (mirroring what tamc check --cert does)            *)
+(* Emission: the certificate [tamc check --cert] writes for a reach
+   query, and a sup certificate at the small ceilings the zoo, random
+   and radionav nets need ([Check.run] keeps Wcrt's defaults)          *)
 (* ------------------------------------------------------------------ *)
 
-let reach_cert ?(abstraction = Reach.ExtraLU) ?(slicing = Reach.Off)
-    ?(domains = 1) net (q : Query.t) =
-  let snap = ref None in
+(* every reach verdict found without a budget must come certified *)
+let reach_certified ?abstraction ?slicing ?domains net q =
   match
-    Reach.reach ~abstraction ~slicing ~domains
-      ~snap:(fun s -> snap := Some s)
-      net q
+    Check.run ?abstraction ?slicing ?domains ~cert:true ~index:0 net
+      (Check.Reach_q q)
   with
-  | Reach.Unreachable _ -> (
-      match !snap with
-      | Some s ->
-          Some (Cert_emit.of_snapshot ~index:0 ~verdict:Cert.Unreachable s)
-      | None -> Alcotest.fail "unreachable verdict fired no snapshot")
-  | Reach.Reachable { witness; _ } ->
-      Some
-        (Cert_emit.of_witness ~index:0
-           (List.filter_map (fun (s : Reach.step) -> s.Reach.via) witness))
-  | Reach.Budget_exhausted _ -> None
+  | _, Ok qc -> qc
+  | _, Error why -> Alcotest.failf "reach verdict not certified: %s" why
 
 let sup_cert ?(abstraction = Reach.ExtraLU) ?(slicing = Reach.Off)
     ?(domains = 1) ?(initial_ceiling = 64) ?(max_ceiling = 256) net ~at ~clock
@@ -183,16 +174,13 @@ let check_net_matrix cfg ~abstraction ~slicing ~domains (name, net) =
             List.iter
               (fun c ->
                 let q = Query.with_guard at (Guard.clock_ge x c) in
-                match reach_cert ~abstraction ~slicing ~domains net q with
-                | None -> ()
-                | Some qc ->
-                    roundtrip_check
-                      (Printf.sprintf "%s %s: reach %s >= %d at %s.%s" cfg
-                         name net.Network.clock_names.(x) c a.Automaton.name
-                         l.Automaton.loc_name)
-                      net
-                      ~goal:(Cert_emit.goal_of_query q)
-                      qc)
+                roundtrip_check
+                  (Printf.sprintf "%s %s: reach %s >= %d at %s.%s" cfg name
+                     net.Network.clock_names.(x) c a.Automaton.name
+                     l.Automaton.loc_name)
+                  net
+                  ~goal:(Cert_emit.goal_of_query q)
+                  (reach_certified ~abstraction ~slicing ~domains net q))
               [ 1; 7 ];
             match sup_cert ~abstraction ~slicing ~domains net ~at ~clock:x with
             | None -> ()
@@ -230,45 +218,33 @@ let test_zoo_matrix () =
 (* The shipped example files, through the same pipeline                *)
 (* ------------------------------------------------------------------ *)
 
-let model_path name =
-  let candidates =
-    [ "../examples/models/" ^ name; "examples/models/" ^ name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.failf "%s not found" name
-
 let test_examples_matrix () =
   List.iter
     (fun file ->
-      let { E.net; queries; _ } = E.load_file (model_path file) in
+      let reference =
+        Models.example_verdicts ~abstraction:Reach.ExtraLU ~slicing:Reach.Off
+          ~domains:1 file
+      in
       matrix (fun cfg ~abstraction ~slicing ~domains ->
+          let net, results =
+            Models.check_example ~abstraction ~slicing ~domains ~cert:true file
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s %s: verdicts" cfg file)
+            reference
+            (List.map (fun (_, (v, _)) -> Models.verdict_key v) results);
           List.iteri
-            (fun i q ->
-              match q with
-              | E.Deadlock_q -> ()
-              | E.Reach_q q -> (
-                  match reach_cert ~abstraction ~slicing ~domains net q with
-                  | None -> ()
-                  | Some qc ->
-                      roundtrip_check
-                        (Printf.sprintf "%s %s: query %d" cfg file i)
-                        net
-                        ~goal:(Cert_emit.goal_of_query q)
-                        qc)
-              | E.Sup_q { clock; at } -> (
-                  match
-                    sup_cert ~abstraction ~slicing ~domains
-                      ~initial_ceiling:1024 ~max_ceiling:65536 net ~at ~clock
-                  with
-                  | None -> ()
-                  | Some qc ->
-                      roundtrip_check
-                        (Printf.sprintf "%s %s: query %d" cfg file i)
-                        net
-                        ~goal:(Cert_emit.goal_of_query at)
-                        qc))
-            queries))
+            (fun i (q, (verdict, certificate)) ->
+              let name = Printf.sprintf "%s %s: query %d" cfg file i in
+              match (certificate, verdict) with
+              | Ok qc, _ ->
+                  roundtrip_check name net ~goal:(Option.get (Check.goal q)) qc
+              | ( Error why,
+                  ( Check.Reach_result (Reach.Reachable _ | Reach.Unreachable _)
+                  | Check.Sup_result (Wcrt.Sup _) ) ) ->
+                  Alcotest.failf "%s: not certified: %s" name why
+              | Error _, _ -> ())
+            results))
     [ "two_phase.ta"; "train_gate.ta"; "fischer.ta"; "island_demo.ta" ]
 
 (* ------------------------------------------------------------------ *)
@@ -297,7 +273,7 @@ let test_random_certificates =
               let at = Query.at net ~comp:"P" ~loc:(Printf.sprintf "L%d" l) in
               let q = Query.with_guard at (Guard.clock_ge 2 c) in
               certifies net ~goal:(Cert_emit.goal_of_query q)
-                (reach_cert ~abstraction ~slicing ~domains net q)
+                (Some (reach_certified ~abstraction ~slicing ~domains net q))
               && List.for_all
                    (fun clock ->
                      certifies net ~goal:(Cert_emit.goal_of_query at)
@@ -378,7 +354,7 @@ let test_domain_count_byte_equality () =
       let bytes domains =
         let qcs =
           [
-            Option.get (reach_cert ~slicing ~domains net unreach);
+            reach_certified ~slicing ~domains net unreach;
             Option.get (sup_cert ~slicing ~domains net ~at ~clock:1);
           ]
         in
@@ -414,7 +390,7 @@ let wf_base () =
   let unreach =
     Query.with_guard (Query.at net ~comp:"P0" ~loc:"B") (Guard.clock_ge 1 7)
   in
-  let qc = Option.get (reach_cert net unreach) in
+  let qc = reach_certified ~slicing:Reach.Off ~domains:1 net unreach in
   (net, unreach, qc)
 
 let test_mutation_drop_state () =

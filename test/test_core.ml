@@ -254,17 +254,24 @@ let test_analyze_nonpreemptive_blocking () =
   Alcotest.(check bool) "non-preemptive far worse" true (np >= 30_000);
   Alcotest.(check bool) "but bounded by block + backlog drain" true (np <= 36_000)
 
+(* the paper's Property (1) strategy on the generated network: a binary
+   search for the smallest unreachable [seen && y >= C] brackets the
+   sup-query's exact WCRT *)
 let test_analyze_binary_search_agrees () =
   let sys = showdown_system Resource.Priority_preemptive in
-  let r1 = Analyze.wcrt sys ~scenario:"Hi" ~requirement:"r" in
-  let r2 =
-    Analyze.wcrt ~method_:(Analyze.Binary { hi = 4000 }) sys ~scenario:"Hi"
-      ~requirement:"r"
+  let req = Scenario.requirement (Sysmodel.scenario sys "Hi") "r" in
+  let gen = Gen.generate ~measure:("Hi", req) sys in
+  let obs = Option.get gen.Gen.observer in
+  let r =
+    Ita_mc.Wcrt.binary_search ~hi:4000 gen.Gen.net ~at:obs.Gen.seen
+      ~clock:obs.Gen.obs_clock
   in
-  match (r1.Analyze.outcome, r2.Analyze.outcome) with
-  | Analyze.Exact_wcrt a, Analyze.Exact_wcrt b ->
-      Alcotest.(check int) "sup = binary search" a b
-  | _ -> Alcotest.fail "expected exact results"
+  match (Analyze.wcrt sys ~scenario:"Hi" ~requirement:"r").Analyze.outcome with
+  | Analyze.Exact_wcrt a ->
+      Alcotest.(check (pair (option int) (option int)))
+        "sup = binary search" (Some a, Some (a + 1))
+        (r.Ita_mc.Wcrt.lower, r.Ita_mc.Wcrt.upper)
+  | _ -> Alcotest.fail "expected an exact result"
 
 (* A search that ends without seeing a response has no verdict; it must
    never print as "the response never occurs" ("-"). *)
@@ -283,8 +290,6 @@ let test_analyze_no_verdict () =
     [
       ( "sup-query out of budget",
         outcome ~budget:one_state Analyze.Exhaustive );
-      ( "binary search out of budget on its first probe",
-        outcome ~budget:one_state (Analyze.Binary { hi = 4000 }) );
       ( "structured testing out of budget on its first probe",
         outcome ~budget:one_state
           (Analyze.Structured_testing { start = 1000; step = 500 }) );

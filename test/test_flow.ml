@@ -10,7 +10,6 @@ open Ita_ta
 module Flow = Ita_analysis.Flow
 module D = Ita_analysis.Diagnostic
 module Lint = Ita_analysis.Lint
-module Query = Ita_mc.Query
 module E = Ita_tafmt.Elaborate
 
 let loc = Models.loc
@@ -28,30 +27,14 @@ let demo_path () =
   | Some p -> p
   | None -> Alcotest.fail "flow_demo.ta not found"
 
-let observed_of_queries queries =
-  let clocks = ref [] and vars = ref [] in
-  let add_guard (g : Guard.t) =
-    List.iter
-      (fun (a : Guard.atom) ->
-        clocks := a.Guard.clock :: !clocks;
-        vars := Expr.ivars a.Guard.bound @ !vars)
-      g.Guard.clocks;
-    vars := Expr.bvars g.Guard.data @ !vars
-  in
-  List.iter
-    (function
-      | E.Deadlock_q -> ()
-      | E.Reach_q q -> add_guard q.Query.guard
-      | E.Sup_q { clock; at } ->
-          clocks := clock :: !clocks;
-          add_guard at.Query.guard)
-    queries;
-  (!clocks, !vars)
-
 let test_demo_semantic_passes () =
   let { E.net; queries; _ } = E.load_file (demo_path ()) in
-  let observed_clocks, observed_vars = observed_of_queries queries in
-  let findings = Lint.run ~observed_clocks ~observed_vars net in
+  let { Ita_analysis.Slice.g_clocks; g_vars; _ } =
+    Ita_mc.Check.observed queries
+  in
+  let findings =
+    Lint.run ~observed_clocks:g_clocks ~observed_vars:g_vars net
+  in
   (* one dead edge (m == 3 at L1) plus the location it orphans *)
   Alcotest.(check int)
     "dead-edge findings" 2

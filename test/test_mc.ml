@@ -425,10 +425,7 @@ let coverage_suite =
    never disagree on a reachability verdict or a WCRT value.           *)
 (* ------------------------------------------------------------------ *)
 
-let verdict = function
-  | Reach.Reachable _ -> "reachable"
-  | Reach.Unreachable _ -> "unreachable"
-  | Reach.Budget_exhausted _ -> "budget"
+let verdict o = Models.verdict_key (Check.Reach_result o)
 
 let sup_fingerprint ?(initial_ceiling = 64) ?(max_ceiling = 256) net ~at ~clock
     abstraction =
@@ -436,13 +433,9 @@ let sup_fingerprint ?(initial_ceiling = 64) ?(max_ceiling = 256) net ~at ~clock
      zone per time unit up to the ceiling before extrapolation merges
      them, and the fingerprint only has to be identical across
      abstractions — model constants here are all well below 64 *)
-  match Wcrt.sup ~abstraction ~initial_ceiling ~max_ceiling net ~at ~clock with
-  | Wcrt.Sup { value; kind; _ } ->
-      Printf.sprintf "sup %d %s" value
-        (match kind with Wcrt.Attained -> "attained" | Wcrt.Approached -> "approached")
-  | Wcrt.Goal_unreachable _ -> "unreachable"
-  | Wcrt.Sup_budget_exhausted _ -> "budget"
-  | Wcrt.Sup_unbounded _ -> "unbounded"
+  Models.verdict_key
+    (Check.Sup_result
+       (Wcrt.sup ~abstraction ~initial_ceiling ~max_ceiling net ~at ~clock))
 
 (* Every location of every component, every clock: both abstractions
    must report the same sup outcome. *)
@@ -478,37 +471,14 @@ let test_wcrt_agrees_on_models () =
   List.iter (fun (name, net) -> check_net_wcrt_agrees name net) nets
 
 let test_verdicts_agree_on_examples () =
-  (* run every query shipped with the example models under both
-     abstractions *)
-  let module E = Ita_tafmt.Elaborate in
-  let model_path name =
-    let candidates =
-      [ "../examples/models/" ^ name; "examples/models/" ^ name ]
-    in
-    match List.find_opt Sys.file_exists candidates with
-    | Some p -> p
-    | None -> Alcotest.failf "%s not found" name
-  in
+  (* every query shipped with the example models, deadlock freedom
+     included, under both abstractions *)
   List.iter
     (fun file ->
-      let { E.net; queries; _ } = E.load_file (model_path file) in
-      List.iteri
-        (fun i q ->
-          match q with
-          | E.Reach_q q ->
-              let lu = verdict (Reach.reach ~abstraction:Reach.ExtraLU net q) in
-              let ls = verdict (Reach.reach ~abstraction:Reach.LuSim net q) in
-              Alcotest.(check string)
-                (Printf.sprintf "%s query %d (lusim)" file i)
-                lu ls
-          | E.Sup_q { clock; at } ->
-              let lu = sup_fingerprint net ~at ~clock Reach.ExtraLU in
-              let ls = sup_fingerprint net ~at ~clock Reach.LuSim in
-              Alcotest.(check string)
-                (Printf.sprintf "%s sup query %d (lusim)" file i)
-                lu ls
-          | E.Deadlock_q -> ())
-        queries)
+      Alcotest.(check (list string))
+        (file ^ " (lusim)")
+        (Models.example_verdicts ~abstraction:Reach.ExtraLU file)
+        (Models.example_verdicts ~abstraction:Reach.LuSim file))
     [ "fischer.ta"; "train_gate.ta"; "two_phase.ta" ]
 
 let test_random_nets_agree =

@@ -10,30 +10,18 @@ open Ita_mc
 module Slice = Ita_analysis.Slice
 module Dbm = Ita_dbm.Dbm
 module R = Ita_casestudy.Radionav
-module E = Ita_tafmt.Elaborate
 
 let loc = Models.loc
 let edge = Models.edge
 
-let verdict = function
-  | Reach.Reachable _ -> "reachable"
-  | Reach.Unreachable _ -> "unreachable"
-  | Reach.Budget_exhausted _ -> "budget"
+let verdict o = Models.verdict_key (Check.Reach_result o)
 
 let sup_fp ?(initial_ceiling = 64) ?(max_ceiling = 256) ?abstraction ?domains
     ~slicing net ~at ~clock () =
-  match
-    Wcrt.sup ?abstraction ?domains ~slicing ~initial_ceiling ~max_ceiling net
-      ~at ~clock
-  with
-  | Wcrt.Sup { value; kind; _ } ->
-      Printf.sprintf "sup %d %s" value
-        (match kind with
-        | Wcrt.Attained -> "attained"
-        | Wcrt.Approached -> "approached")
-  | Wcrt.Goal_unreachable _ -> "unreachable"
-  | Wcrt.Sup_budget_exhausted _ -> "budget"
-  | Wcrt.Sup_unbounded _ -> "unbounded"
+  Models.verdict_key
+    (Check.Sup_result
+       (Wcrt.sup ?abstraction ?domains ~slicing ~initial_ceiling ~max_ceiling
+          net ~at ~clock))
 
 (* ------------------------------------------------------------------ *)
 (* Hand-built networks                                                 *)
@@ -355,36 +343,13 @@ let test_station_differential () =
 (* Differential: the shipped example models' own queries               *)
 (* ------------------------------------------------------------------ *)
 
-let model_path name =
-  let candidates =
-    [ "../examples/models/" ^ name; "examples/models/" ^ name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.failf "%s not found" name
-
 let test_examples_differential () =
   List.iter
     (fun file ->
-      let { E.net; queries; _ } = E.load_file (model_path file) in
-      List.iteri
-        (fun i q ->
-          match q with
-          | E.Reach_q q ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s query %d" file i)
-                (verdict (Reach.reach ~slicing:Reach.Off net q))
-                (verdict (Reach.reach ~slicing:Reach.CoiMerge net q))
-          | E.Sup_q { clock; at } ->
-              let sup slicing =
-                sup_fp ~initial_ceiling:1_000_000 ~max_ceiling:(1 lsl 40)
-                  ~slicing net ~at ~clock ()
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "%s sup query %d" file i)
-                (sup Reach.Off) (sup Reach.CoiMerge)
-          | E.Deadlock_q -> ())
-        queries)
+      Alcotest.(check (list string))
+        (file ^ " (coimerge)")
+        (Models.example_verdicts ~slicing:Reach.Off file)
+        (Models.example_verdicts ~slicing:Reach.CoiMerge file))
     [ "fischer.ta"; "train_gate.ta"; "two_phase.ta" ]
 
 (* ------------------------------------------------------------------ *)

@@ -248,62 +248,27 @@ query sup x at P.b
       | _ -> Alcotest.fail "expected a reach and a sup query")
     [ Ita_mc.Reach.Off; Ita_mc.Reach.CoiMerge ]
 
-(* tests run from _build/default/test under dune, or from the repo root
-   when the executable is invoked directly *)
-let model_path name =
-  let candidates =
-    [ "../examples/models/" ^ name; "examples/models/" ^ name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.failf "%s not found" name
-
+(* the protocols' own queries, in file order, through the checker tamc
+   check runs *)
 let test_fischer () =
-  let path = model_path "fischer.ta" in
-  begin
-    let { E.net; queries; _ } = E.load_file path in
-    match queries with
-    | [ E.Reach_q mutex; E.Reach_q live1; E.Reach_q live2; E.Deadlock_q ] ->
-        (match Ita_mc.Reach.reach net mutex with
-        | Ita_mc.Reach.Unreachable _ -> ()
-        | _ -> Alcotest.fail "mutual exclusion violated");
-        List.iter
-          (fun q ->
-            match Ita_mc.Reach.reach net q with
-            | Ita_mc.Reach.Reachable _ -> ()
-            | _ -> Alcotest.fail "process cannot reach its critical section")
-          [ live1; live2 ];
-        (* the protocol is also deadlock-free *)
-        let dead = ref false in
-        (match
-           Ita_mc.Reach.explore net ~on_store:(fun cfg ->
-               if Ita_ta.Semantics.successors net cfg = [] then dead := true)
-         with
-        | `Complete _ -> ()
-        | `Budget_exhausted _ -> Alcotest.fail "exploration incomplete");
-        Alcotest.(check bool) "deadlock-free" false !dead
-    | _ -> Alcotest.fail "expected four queries"
-  end
+  (* mutual exclusion holds, both processes reach their critical
+     section, and the protocol is deadlock-free *)
+  Alcotest.(check (list string))
+    "fischer verdicts"
+    [ "unreachable"; "reachable"; "reachable"; "deadlock-free" ]
+    (Models.example_verdicts "fischer.ta")
 
 let test_train_gate () =
-  let path = model_path "train_gate.ta" in
-  let { E.net; queries; _ } = E.load_file path in
-  (match queries with
-  | [ E.Reach_q unsafe1; E.Reach_q unsafe2; E.Reach_q good; E.Deadlock_q ] ->
-      List.iter
-        (fun q ->
-          match Ita_mc.Reach.reach net q with
-          | Ita_mc.Reach.Unreachable _ -> ()
-          | _ -> Alcotest.fail "train in crossing with the gate not down")
-        [ unsafe1; unsafe2 ];
-      (match Ita_mc.Reach.reach net good with
-      | Ita_mc.Reach.Reachable _ -> ()
-      | _ -> Alcotest.fail "the train never crosses")
-  | _ -> Alcotest.fail "expected four queries")
+  (* the train is never in the crossing unless the gate is down, it
+     does cross, and the system is deadlock-free *)
+  Alcotest.(check (list string))
+    "train gate verdicts"
+    [ "unreachable"; "unreachable"; "reachable"; "deadlock-free" ]
+    (Models.example_verdicts "train_gate.ta")
 
 let test_load_example_file () =
   (* the example shipped in examples/models must stay green *)
-  let path = model_path "two_phase.ta" in
+  let path = Models.model_path "two_phase.ta" in
   begin
     let { E.net; queries; _ } = E.load_file path in
     Alcotest.(check int) "three queries" 3 (List.length queries);
